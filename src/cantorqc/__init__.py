@@ -29,6 +29,7 @@ from .nonremovable import (
     CounterexampleReport,
     CounterexampleSpec,
     DiscreteMeasure,
+    ImageIFS,
     build_counterexample,
     cauchy_transform,
     cauchy_transform_batch,

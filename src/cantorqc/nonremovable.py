@@ -13,12 +13,27 @@ quasiregularly across the source set.  The measure here is the uniform
 self-similar measure discretized at generation ``N``; its growth is
 certified only down to the generation disk radius (the scale floor carried
 in every report).
+
+The transform of such a measure is evaluated by a tree code over the image
+IFS (Barnes & Hut 1986; Greengard & Rokhlin 1987).  Generation-``N`` atoms
+obey ``G_k(u) = sum_j G_{k-1}((u - c_j)/s) / s`` with ``G_0(u) = 1/u``, so a
+cluster of ``m**k`` atoms and radius ``R_k`` seen from ``|u| >= R_k/THETA`` is
+summed by its Laurent series ``sum_{n<=P} mu_n u**-(n+1)``, whose moments
+follow from the centres alone by a binomial recursion (computed on first use
+and cached with the measure).  Each far cluster is summed to an order ``n``
+whose truncation bound ``ratio**(n+1)/(1 - ratio)``, ``ratio = R_k/|u|``, is
+at most ``2**-53`` relative to the cluster's mass over ``|u|``: below the
+rounding of the direct sum itself.  Near clusters recurse; near clusters of
+at most :data:`LEAF` atoms, whole measures of at most :data:`LEAF` atoms and
+measures without an IFS are summed directly as ``weights/(z - positions)``.
+Atoms are still enumerated: the near-atom flags and the growth certificate
+query them through a KD-tree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +53,82 @@ from .verify import HolderConfig, HolderReport, holder_estimate
 #: Hexagonal layouts with complete rings, used when auto-selecting m.
 CENTERED_HEX_LADDER = tuple(1 + 3 * k * (k + 1) for k in range(1, 26))
 
+#: A cluster of radius ``R`` is summed by its Laurent series when the point
+#: lies at least ``R/THETA`` from the cluster's centre.
+THETA = 0.5
+#: Highest Laurent order; ``THETA**(P+1)/(1-THETA) <= 2**-53`` keeps the
+#: truncation of the series below the rounding of the direct sum.
+P = 53
+#: Clusters, and whole measures, of at most this many atoms are summed directly.
+LEAF = 512
+#: Point-cluster pairs held at once by the tree descent: a few MB of temporaries.
+_PAIRS = 1 << 16
+
+
+def _series_order(ratio: float) -> int:
+    """Lowest order ``n`` with ``ratio**(n+1)/(1-ratio) <= 2**-53``."""
+    n = 0
+    while ratio ** (n + 1) / (1.0 - ratio) > 2.0**-53:
+        n += 1
+    return n
+
+
+#: Far clusters are banded by ``ratio = R/|u|``: band ``b`` holds ratios in
+#: ``(THETA/2**(b+1), THETA/2**b]`` (the last band all smaller ones) and is
+#: summed to the order its upper ratio needs.
+_BAND_RATIOS = THETA / 2.0 ** np.arange(8)
+_BAND_ORDERS = tuple(min(P, _series_order(float(r))) for r in _BAND_RATIOS)
+
+
+@dataclass(frozen=True, eq=False)
+class ImageIFS:
+    """The similarities ``z -> c_j + ratio*z`` whose generation-``generation``
+    composites place a measure's atoms, in :func:`generation_centers` order."""
+
+    centers: np.ndarray
+    ratio: float
+    generation: int
+
+    def __post_init__(self) -> None:
+        centers = np.ascontiguousarray(self.centers, dtype=np.complex128)
+        centers.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
+        if not 0.0 < self.ratio < 1.0:
+            raise ParameterError(f"IFS ratio must lie in (0, 1), got {self.ratio}")
+        if self.generation < 0:
+            raise ParameterError(f"IFS generation must be >= 0, got {self.generation}")
+
+    @property
+    def m(self) -> int:
+        return self.centers.size
+
+    def radius(self, k: int) -> float:
+        """Largest ``|p|`` over the atoms ``p`` of a level-``k`` cluster in its
+        own frame: ``max|c_j| * (1 + ratio + ... + ratio**(k-1))``."""
+        return float(np.abs(self.centers).max()) * (1.0 - self.ratio**k) / (1.0 - self.ratio)
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, ...]:
+        """``moments[k][n]``: sum of ``p**n`` over the ``m**k`` atoms of a
+        level-``k`` cluster in its own frame, for ``n <= P``.
+
+        From ``mu_n^(k) = sum_l C(n,l) A_(n-l) ratio**l mu_l^(k-1)`` with
+        ``A_q = sum_j c_j**q``; the absolute values of the terms sum to at most
+        ``m**k * radius(k)**n``, so the recursion loses no accuracy.
+        """
+        n = np.arange(P + 1)
+        power_sums = (self.centers[:, None] ** n[None, :]).sum(axis=0)
+        binom = np.array([[math.comb(i, l) for l in n] for i in n], dtype=float)
+        step = binom * power_sums[np.abs(n[:, None] - n[None, :])]
+        scale = self.ratio ** n.astype(float)
+        mu = np.zeros(P + 1, dtype=np.complex128)
+        mu[0] = 1.0
+        out = [mu]
+        for _ in range(self.generation):
+            mu = step @ (scale * mu)
+            out.append(mu)
+        return tuple(out)
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
@@ -45,7 +136,9 @@ class DiscreteMeasure:
 
     ``measure(B(z, rho)) <= growth_constant * rho**growth_exponent`` was
     checked on sampled balls with ``rho >= resolution``; nothing is claimed
-    below that scale floor.
+    below that scale floor.  ``ifs``, when given, generated the atoms (equal
+    weights, :func:`generation_centers` order); the Cauchy transform then
+    descends its tree instead of summing every atom.
     """
 
     positions: np.ndarray
@@ -53,6 +146,7 @@ class DiscreteMeasure:
     resolution: float
     growth_exponent: float
     growth_constant: float
+    ifs: ImageIFS | None = None
 
     def __post_init__(self) -> None:
         positions = np.ascontiguousarray(self.positions, dtype=np.complex128)
@@ -65,6 +159,14 @@ class DiscreteMeasure:
             raise ParameterError("positions and weights must have matching shapes")
         if not (weights > 0).all():
             raise ParameterError("all atom weights must be positive")
+        if self.ifs is not None:
+            if positions.size != self.ifs.m**self.ifs.generation:
+                raise ParameterError(
+                    f"an IFS of {self.ifs.m} maps at generation {self.ifs.generation} "
+                    f"places {self.ifs.m**self.ifs.generation} atoms, got {positions.size}"
+                )
+            if (weights != weights[0]).any():
+                raise ParameterError("a measure with an IFS needs equal atom weights")
 
     @property
     def count(self) -> int:
@@ -89,22 +191,18 @@ class DiscreteMeasure:
         return d
 
     def growth_ratio(self, centers: np.ndarray, radii: np.ndarray) -> float:
-        """Max of ``mass(B)/rho**s`` over all (center, radius) combinations."""
+        """Max of ``mass(B)/rho**s`` over all (center, radius) combinations.
+
+        Balls are weighed by counting atoms, so the weights must be equal.
+        """
+        if np.unique(self.weights).size > 1:
+            raise ParameterError("growth_ratio needs equal atom weights")
+        weight = float(self.weights[0])
         best = 0.0
         pts = np.column_stack([np.asarray(centers).real, np.asarray(centers).imag])
         for rho in np.asarray(radii, dtype=float):
             counts = self._tree.query_ball_point(pts, rho, return_length=True)
-            # uniform weights: mass = count * w; stay general via weight lookup
-            if np.unique(self.weights).size == 1:
-                masses = counts * float(self.weights[0])
-            else:
-                masses = np.array(
-                    [
-                        float(self.weights[self._tree.query_ball_point(p, rho)].sum())
-                        for p in pts
-                    ]
-                )
-            best = max(best, float(masses.max()) / rho**self.growth_exponent)
+            best = max(best, float(counts.max()) * weight / rho**self.growth_exponent)
         return best
 
     def to_json_dict(self) -> dict:
@@ -150,6 +248,7 @@ def frostman_measure(
         resolution=resolution,
         growth_exponent=s,
         growth_constant=math.nan,
+        ifs=ImageIFS(params.packing.centers, params.image_ratio, N),
     )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_atoms = min(ball_samples, centers.size)
@@ -159,18 +258,80 @@ def frostman_measure(
     random_centers = rad * np.exp(1j * ang)
     ball_centers = np.concatenate([picked, random_centers])
     radii = np.geomspace(resolution, 2.0, n_radii)
-    constant = measure.growth_ratio(ball_centers, radii)
-    return DiscreteMeasure(
-        positions=centers,
-        weights=weights,
-        resolution=resolution,
-        growth_exponent=s,
-        growth_constant=constant,
-    )
+    return replace(measure, growth_constant=measure.growth_ratio(ball_centers, radii))
 
 
 # ---------------------------------------------------------------------------
 # Cauchy transform
+
+
+def _scatter_add(acc: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """``acc[idx] += values`` with repeated indices accumulated."""
+    acc.real += np.bincount(idx, weights=values.real, minlength=acc.size)
+    acc.imag += np.bincount(idx, weights=values.imag, minlength=acc.size)
+
+
+def _laurent(u: np.ndarray, u2: np.ndarray, mu: np.ndarray, radius: float) -> np.ndarray:
+    """``sum_n mu_n u**-(n+1)`` for ``|u| >= radius/THETA`` (``u2 = |u|**2``),
+    each entry to the order of its band of ``radius/|u|``."""
+    v = 1.0 / u
+    out = np.empty_like(u)
+    band = np.searchsorted((radius / _BAND_RATIOS[1:]) ** 2, u2, side="right")
+    for b, order in enumerate(_BAND_ORDERS):
+        idx = np.flatnonzero(band == b)
+        if idx.size == 0:
+            continue
+        vb = v[idx]
+        acc = np.full(idx.size, mu[order])
+        for n in range(order - 1, -1, -1):
+            acc *= vb
+            acc += mu[n]
+        out[idx] = acc * vb
+    return out
+
+
+def _tree_sum(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
+    """``sum_k w_k / (z - p_k)`` by descending the measure's IFS tree."""
+    ifs = measure.ifs
+    m, s, N = ifs.m, ifs.ratio, ifs.generation
+    leaf_levels = 0
+    while m ** (leaf_levels + 1) <= LEAF:
+        leaf_levels += 1
+    leaf_depth = N - leaf_levels
+    leaves = measure.positions.reshape(-1, m**leaf_levels)
+    leaf_weights = measure.weights[None, : m**leaf_levels]
+    leaf_rows = max(1, _PAIRS // m**leaf_levels)
+    weight = float(measure.weights[0])
+    out = np.empty(zs.size, dtype=np.complex128)
+    step = max(1, _PAIRS // m)
+    for start in range(0, zs.size, step):
+        z = zs[start : start + step]
+        acc = np.zeros(z.size, dtype=np.complex128)
+        # one entry per (point, cluster) pair still to sum; node numbers the
+        # depth-d clusters in atom order
+        pt = np.arange(z.size)
+        node = np.zeros(z.size, dtype=np.intp)
+        centre = np.zeros(z.size, dtype=np.complex128)
+        for d in range(leaf_depth + 1):
+            k = N - d
+            scale = s**d
+            u = (z[pt] - centre) / scale
+            u2 = u.real**2 + u.imag**2
+            radius = ifs.radius(k)
+            far = u2 >= (radius / THETA) ** 2
+            series = _laurent(u[far], u2[far], ifs.moments[k], radius)
+            _scatter_add(acc, pt[far], series * (weight / scale))
+            near = ~far
+            pt, node, centre = pt[near], node[near], centre[near]
+            if d < leaf_depth:
+                pt = np.repeat(pt, m)
+                node = (node[:, None] * m + np.arange(m)).ravel()
+                centre = (centre[:, None] + scale * ifs.centers[None, :]).ravel()
+        for i in range(0, pt.size, leaf_rows):
+            p, n = pt[i : i + leaf_rows], node[i : i + leaf_rows]
+            _scatter_add(acc, p, (leaf_weights / (z[p][:, None] - leaves[n])).sum(axis=1))
+        out[start : start + step] = acc
+    return out
 
 
 def cauchy_transform_batch(
@@ -178,19 +339,31 @@ def cauchy_transform_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(1/pi) * sum_k w_k / (z - p_k)`` with a near-atom flag per point.
 
-    Points closer than half the resolution to some atom are flagged: there the
-    discrete transform no longer approximates its continuous limit.
+    A measure with an IFS and more than :data:`LEAF` atoms is summed by the
+    tree descent of the module docstring, to the accuracy of the direct sum;
+    any other is summed directly, ``chunk`` bounding the elements of each
+    temporary.  Points closer than half the resolution to some atom are
+    flagged: there the discrete transform no longer approximates its
+    continuous limit.  A non-finite point raises :class:`ParameterError`.
     """
     zs = np.asarray(zs, dtype=np.complex128)
     flat = zs.ravel()
-    values = np.zeros(flat.size, dtype=np.complex128)
-    n_atoms = measure.count
-    z_chunk = max(1, chunk // max(n_atoms, 1))
-    for start in range(0, flat.size, z_chunk):
-        block = flat[start : start + z_chunk]
-        values[start : start + z_chunk] = (
-            measure.weights[None, :] / (block[:, None] - measure.positions[None, :])
-        ).sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ParameterError(
+            f"Cauchy transform points must be finite; point {bad[0]} is {flat[bad[0]]}"
+        )
+    if measure.ifs is not None and measure.count > LEAF:
+        values = _tree_sum(measure, flat)
+    else:
+        values = np.zeros(flat.size, dtype=np.complex128)
+        n_atoms = measure.count
+        z_chunk = max(1, chunk // max(n_atoms, 1))
+        for start in range(0, flat.size, z_chunk):
+            block = flat[start : start + z_chunk]
+            values[start : start + z_chunk] = (
+                measure.weights[None, :] / (block[:, None] - measure.positions[None, :])
+            ).sum(axis=1)
     values /= math.pi
     flagged = measure.nearest_atom_distance(flat) < measure.resolution / 2.0
     return values.reshape(zs.shape), flagged.reshape(zs.shape)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,13 +16,50 @@ from cantorqc import (
     cauchy_transform,
     cauchy_transform_batch,
     frostman_measure,
+    generation_centers,
     image_map,
     max_admissible_epsilon,
     phi,
     removability_threshold,
     verify_counterexample,
 )
-from cantorqc.nonremovable import dbar_max, residue_error
+from cantorqc.nonremovable import (
+    _BAND_ORDERS,
+    _BAND_RATIOS,
+    LEAF,
+    THETA,
+    ImageIFS,
+    P,
+    dbar_max,
+    residue_error,
+)
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _assert_tree_matches_direct(mu, zs):
+    """Tree descent against the direct sum, within 256u of sum |w/(z-p)|/pi."""
+    assert mu.ifs is not None and mu.count > LEAF
+    tree, _ = cauchy_transform_batch(mu, zs)
+    direct, _ = cauchy_transform_batch(replace(mu, ifs=None), zs)
+    for i in range(0, zs.size, 50):
+        block = zs[i : i + 50]
+        absolute = (mu.weights[None, :] / np.abs(block[:, None] - mu.positions[None, :])).sum(axis=1)
+        err = np.abs(tree[i : i + 50] - direct[i : i + 50])
+        assert (err <= 256 * UNIT_ROUNDOFF * absolute / math.pi).all()
+
+
+def _seeded_points(mu, seed, n_disk, n_near, n_ring):
+    """Uniform points in the square around the unit disk, points within twice
+    the resolution of an atom, and points on the circles |z| = 10 and 100."""
+    rng = np.random.default_rng(seed)
+    disk = rng.uniform(-1.1, 1.1, n_disk) + 1j * rng.uniform(-1.1, 1.1, n_disk)
+    offsets = 2.0 * mu.resolution * rng.uniform(0.05, 1.0, n_near)
+    near = mu.positions[rng.choice(mu.count, n_near)] + offsets * np.exp(
+        2j * math.pi * rng.uniform(size=n_near)
+    )
+    rings = [R * np.exp(2j * math.pi * rng.uniform(size=n_ring)) for R in (10.0, 100.0)]
+    return np.concatenate([disk, near, *rings])
 
 
 class TestFrostmanMeasure:
@@ -74,6 +112,18 @@ class TestFrostmanMeasure:
         with pytest.raises(ParameterError):
             frostman_measure(params7, 1, growth_delta=-0.1)
 
+    def test_growth_ratio_rejects_unequal_weights(self):
+        mu = DiscreteMeasure(np.array([0j, 0.5 + 0j]), np.array([0.25, 0.75]), 1e-3, 1.0, 1.0)
+        with pytest.raises(ParameterError, match="equal atom weights"):
+            mu.growth_ratio(np.array([0j]), np.array([0.1, 1.0]))
+
+    def test_ifs_must_match_atoms(self, params7):
+        mu = frostman_measure(params7, 2)
+        with pytest.raises(ParameterError, match="places 343 atoms, got 49"):
+            replace(mu, ifs=ImageIFS(params7.packing.centers, params7.image_ratio, 3))
+        with pytest.raises(ParameterError, match="equal atom weights"):
+            replace(mu, weights=np.linspace(0.5, 1.5, mu.count))
+
 
 class TestCauchyTransform:
     def test_single_atom(self):
@@ -120,6 +170,52 @@ class TestCauchyTransform:
         z = 1.7 + 1.3j
         lhs = np.conj(cauchy_transform(mu_refl, np.conj(z)))
         assert lhs == pytest.approx(cauchy_transform(mu, z), rel=1e-12)
+
+    def test_series_truncation_below_unit_roundoff(self):
+        assert THETA ** (P + 1) / (1.0 - THETA) <= UNIT_ROUNDOFF
+        for ratio, order in zip(_BAND_RATIOS, _BAND_ORDERS):
+            assert ratio <= THETA and order <= P
+            assert ratio ** (order + 1) / (1.0 - ratio) <= UNIT_ROUNDOFF
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_moment_recursion_matches_enumerated_atoms(self, params7, N):
+        ifs = ImageIFS(params7.packing.centers, params7.image_ratio, N)
+        n = np.arange(P + 1)
+        for k in range(N + 1):
+            atoms = generation_centers(k, "image", params7)
+            powers = atoms[:, None] ** n[None, :]
+            # relative to sum |p|**n: moments forbidden by the layout's
+            # symmetry are zero up to rounding
+            scale = np.abs(powers).sum(axis=0)
+            assert (np.abs(ifs.moments[k] - powers.sum(axis=0)) <= 1e-12 * scale).all()
+
+    def test_tree_matches_direct_sum_at_criterion_11(self):
+        mu = build_counterexample(0.5, 2.0, 1.9, N=2, depth_max=40, seed=0).measure
+        assert mu.ifs.m == 217
+        _assert_tree_matches_direct(mu, _seeded_points(mu, 11, 1500, 400, 100))
+
+    def test_tree_matches_direct_sum_three_levels(self, params7):
+        # 7**5 atoms in leaves of 7**3: the descent expands two levels
+        mu = frostman_measure(params7, 5)
+        _assert_tree_matches_direct(mu, _seeded_points(mu, 12, 200, 100, 20))
+
+    def test_direct_expression_kept_for_small_or_plain_measures(self, params7):
+        small = frostman_measure(params7, 2)
+        plain = replace(frostman_measure(params7, 4), ifs=None)
+        assert small.count <= LEAF < plain.count
+        for mu in (small, plain):
+            zs = _seeded_points(mu, 13, 40, 10, 5)
+            values, _ = cauchy_transform_batch(mu, zs)
+            expected = (mu.weights[None, :] / (zs[:, None] - mu.positions[None, :])).sum(axis=1)
+            assert (values == expected / math.pi).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_point_rejected(self, params7, bad):
+        tree, direct = frostman_measure(params7, 4), frostman_measure(params7, 1)
+        assert tree.count > LEAF >= direct.count
+        for mu in (tree, direct):
+            with pytest.raises(ParameterError, match=r"point 1 is"):
+                cauchy_transform_batch(mu, np.array([0.3, bad, 0.2j]))
 
     def test_near_atom_flag(self, params7):
         mu = frostman_measure(params7, 2)
