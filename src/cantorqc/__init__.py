@@ -12,17 +12,14 @@ from .geometry import (
     Disk,
     DiskPacking,
     EnumerationCapError,
-    Location,
     PackingError,
     ParameterError,
-    Region,
     Similarity,
     build_packing,
     derive_params,
     generation_centers,
     generation_disks,
     image_map,
-    locate,
     source_map,
 )
 from .nonremovable import (
@@ -39,14 +36,11 @@ from .nonremovable import (
     verify_counterexample,
 )
 from .qcmap import (
-    Descend,
-    Final,
     GluedMapSpec,
     GluedPiece,
     LpMassEstimate,
     LpMassReport,
     MapResult,
-    base_step,
     glued_map,
     jacobian,
     jacobian_batch,

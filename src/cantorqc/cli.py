@@ -16,6 +16,7 @@ import numpy as np
 from . import nonremovable, qcmap, verify
 from .geometry import (
     CantorQCError,
+    ConstructionParams,
     Disk,
     ParameterError,
     build_packing,
@@ -40,17 +41,25 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _params_from(args: argparse.Namespace):
-    packing = build_packing(args.m)
-    return derive_params(args.t, args.K, packing)
-
-
 def _dry_run_payload(args: argparse.Namespace, derived: dict | None) -> str:
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None
     }
     config = {k: (str(v) if isinstance(v, complex) else v) for k, v in config.items()}
     return _json_text({"command": args.command, "config": config, "derived": derived})
+
+
+def _with_params(cmd):
+    """Derive the construction parameters for ``cmd``; under ``--dry-run`` print them and stop."""
+
+    def run(args: argparse.Namespace) -> None:
+        params = derive_params(args.t, args.K, build_packing(args.m))
+        if args.dry_run:
+            _emit(_dry_run_payload(args, params.to_json_dict()), args.out)
+            return
+        cmd(args, params)
+
+    return run
 
 
 def _add_common(parser: argparse.ArgumentParser, *, seed: bool = True) -> None:
@@ -70,19 +79,13 @@ def _add_common(parser: argparse.ArgumentParser, *, seed: bool = True) -> None:
 # subcommands
 
 
-def cmd_params(args: argparse.Namespace) -> None:
-    params = _params_from(args)
-    if args.dry_run:
-        _emit(_dry_run_payload(args, params.to_json_dict()), args.out)
-        return
+@_with_params
+def cmd_params(args: argparse.Namespace, params: ConstructionParams) -> None:
     _emit(_json_text(params.to_json_dict()), args.out)
 
 
-def cmd_disks(args: argparse.Namespace) -> None:
-    params = _params_from(args)
-    if args.dry_run:
-        _emit(_dry_run_payload(args, params.to_json_dict()), args.out)
-        return
+@_with_params
+def cmd_disks(args: argparse.Namespace, params: ConstructionParams) -> None:
     centers = generation_centers(args.N, args.side, params)
     ratio = params.source_ratio if args.side == "source" else params.image_ratio
     radius = ratio**args.N
@@ -133,11 +136,8 @@ def _read_points(path: str) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def cmd_eval(args: argparse.Namespace) -> None:
-    params = _params_from(args)
-    if args.dry_run:
-        _emit(_dry_run_payload(args, params.to_json_dict()), args.out)
-        return
+@_with_params
+def cmd_eval(args: argparse.Namespace, params: ConstructionParams) -> None:
     # streaming: bounded chunks in, lines straight out
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -162,11 +162,8 @@ def cmd_eval(args: argparse.Namespace) -> None:
             sink.close()
 
 
-def cmd_lp_mass(args: argparse.Namespace) -> None:
-    params = _params_from(args)
-    if args.dry_run:
-        _emit(_dry_run_payload(args, params.to_json_dict()), args.out)
-        return
+@_with_params
+def cmd_lp_mass(args: argparse.Namespace, params: ConstructionParams) -> None:
     closed = qcmap.lp_mass_closed_form(args.p, params, n_max=args.n_max)
     payload = {"closed_form": closed.to_json_dict()}
     if args.samples > 0:
@@ -177,11 +174,8 @@ def cmd_lp_mass(args: argparse.Namespace) -> None:
     _emit(_json_text(payload), args.out)
 
 
-def cmd_dimension(args: argparse.Namespace) -> None:
-    params = _params_from(args)
-    if args.dry_run:
-        _emit(_dry_run_payload(args, params.to_json_dict()), args.out)
-        return
+@_with_params
+def cmd_dimension(args: argparse.Namespace, params: ConstructionParams) -> None:
     est = verify.box_dimension(args.side, params, args.N, seed=args.seed)
     reference = params.t if args.side == "source" else params.dim_image
     if args.format == "csv":
@@ -194,11 +188,8 @@ def cmd_dimension(args: argparse.Namespace) -> None:
         _emit(_json_text(payload), args.out)
 
 
-def cmd_holder(args: argparse.Namespace) -> None:
-    params = _params_from(args)
-    if args.dry_run:
-        _emit(_dry_run_payload(args, params.to_json_dict()), args.out)
-        return
+@_with_params
+def cmd_holder(args: argparse.Namespace, params: ConstructionParams) -> None:
     target = args.target if args.target is not None else params.holder_exp
     config = verify.HolderConfig(params=params, adversarial_depth=args.depth_pairs)
     map_fn = qcmap.phi_map_fn(params, depth_max=args.depth)
@@ -214,21 +205,15 @@ def cmd_holder(args: argparse.Namespace) -> None:
     _emit(_json_text(payload), args.out)
 
 
-def cmd_packing(args: argparse.Namespace) -> None:
-    params = _params_from(args)
-    if args.dry_run:
-        _emit(_dry_run_payload(args, params.to_json_dict()), args.out)
-        return
+@_with_params
+def cmd_packing(args: argparse.Namespace, params: ConstructionParams) -> None:
     s = args.s if args.s is not None else params.t
     report = verify.packing_condition_check(args.N, s, args.trials, args.seed, params)
     _emit(_json_text(report.to_json_dict()), args.out)
 
 
-def cmd_growth(args: argparse.Namespace) -> None:
-    params = _params_from(args)
-    if args.dry_run:
-        _emit(_dry_run_payload(args, params.to_json_dict()), args.out)
-        return
+@_with_params
+def cmd_growth(args: argparse.Namespace, params: ConstructionParams) -> None:
     report = verify.integral_growth_check(
         args.trials, args.seed, params, args.depth, args.samples
     )

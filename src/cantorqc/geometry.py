@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import product
 from typing import Sequence
@@ -267,12 +266,12 @@ class ConstructionParams:
     def c_m(self) -> float:
         return self.packing.c_m
 
-    @property
+    @cached_property
     def source_ratio(self) -> float:
         """Contraction ratio of the source similarities, ``sigma * r``."""
         return self.sigma * self.r
 
-    @property
+    @cached_property
     def image_ratio(self) -> float:
         """Contraction ratio of the image similarities, ``sigma**(1/K) * r``."""
         return self.sigma ** (1.0 / self.K) * self.r
@@ -420,43 +419,3 @@ def generation_disks(
     radius = ratio**N if N > 0 else 1.0
     indices = product(range(params.m), repeat=N)
     return [(J, Disk(complex(c), radius)) for J, c in zip(indices, centers)]
-
-
-# ---------------------------------------------------------------------------
-# point classification
-
-
-class Region(Enum):
-    OUTSIDE = "outside"
-    ANNULUS = "annulus"
-    INSIDE = "inside"
-
-
-@dataclass(frozen=True)
-class Location:
-    """Where a point sits relative to the first-generation structure.
-
-    For ``ANNULUS`` the payload is ``(z - z_i)/r`` (modulus in ``[sigma, 1)``);
-    for ``INSIDE`` it is ``(z - z_i)/(sigma*r)``, a point of the unit disk.
-    """
-
-    region: Region
-    index: int | None = None
-    point: complex | None = None
-
-
-def locate(z: complex, params: ConstructionParams) -> Location:
-    """Classify ``z`` against the protecting disks ``D(z_i, r)``.
-
-    The inner boundary ``|z - z_i| = sigma*r`` is assigned to the annulus;
-    both formulas agree there, the tie-break only fixes determinism.
-    """
-    idx, dist = params.packing.nearest_center(np.array([z]))
-    i, d = int(idx[0]), float(dist[0])
-    r = params.r
-    if d >= r:
-        return Location(Region.OUTSIDE)
-    c = complex(params.packing.centers[i])
-    if d < params.sigma * r:
-        return Location(Region.INSIDE, i, (z - c) / (params.sigma * r))
-    return Location(Region.ANNULUS, i, (z - c) / r)

@@ -33,7 +33,7 @@ query them through a KD-tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -47,10 +47,13 @@ from .geometry import (
     derive_params,
     generation_centers,
 )
-from .qcmap import phi, phi_batch
+from .qcmap import phi_batch
 from .verify import HolderConfig, HolderReport, holder_estimate
 
-#: Hexagonal layouts with complete rings, used when auto-selecting m.
+#: Centered hexagonal numbers ``1 + 3k(k+1)``, tried in order when auto-selecting
+#: m.  They count the sites of k complete rings, but ``build_packing`` clips the
+#: lattice by norm, so at m = 217, 331 and 469 its layout is not those rings and
+#: is not 6-fold symmetric.
 CENTERED_HEX_LADDER = tuple(1 + 3 * k * (k + 1) for k in range(1, 26))
 
 #: A cluster of radius ``R`` is summed by its Laurent series when the point
@@ -402,16 +405,10 @@ class CounterexampleSpec:
     measure: DiscreteMeasure
     depth_max: int
 
-    def g_batch(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return cauchy_transform_batch(self.measure, zs)
-
     def f_batch(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``f = g o phi`` on an array; returns values and near-atom flags."""
         w, _, _ = phi_batch(np.asarray(zs, dtype=np.complex128), self.params, self.depth_max)
         return cauchy_transform_batch(self.measure, w)
-
-    def f(self, z: complex) -> complex:
-        return cauchy_transform(self.measure, phi(z, self.params, self.depth_max).value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -528,20 +525,7 @@ class CounterexampleReport:
     scale_floor: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "K": self.K,
-            "t": self.t,
-            "epsilon": self.epsilon,
-            "expected_f_exponent": self.expected_f_exponent,
-            "measured_exponent": self.measured_exponent,
-            "max_ratio": self.max_ratio,
-            "dbar_max": self.dbar_max,
-            "residue_error": self.residue_error,
-            "residue_error_near": self.residue_error_near,
-            "flagged_pairs": self.flagged_pairs,
-            "scale_floor": self.scale_floor,
-        }
+        return asdict(self)
 
 
 def _f_map_fn(spec: CounterexampleSpec):

@@ -18,8 +18,9 @@ diameter).
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,59 +50,133 @@ class MapResult:
     err_bound: float
 
 
-@dataclass(frozen=True)
-class Final:
-    value: complex
+def _side_table(params: ConstructionParams, side: str) -> tuple[float, float, float]:
+    """``(ratio, affine_ratio, exponent)``: the inner seam radius and frame
+    contraction, the scale gained per descent, and the ring stretch
+    ``rho**exponent`` of the map (``side="source"``) or its inverse."""
+    sr, q = params.source_ratio, params.image_ratio
+    if side == "source":
+        return sr, q, 1.0 / params.K - 1.0
+    return q, sr, params.K - 1.0
 
 
-@dataclass(frozen=True)
-class Descend:
-    index: int
-    point: complex
+def _check_depth(depth_max: int, affine_ratio: float) -> None:
+    if depth_max < 1:
+        raise ParameterError(f"depth_max must be >= 1, got {depth_max}")
+    if 2.0 * affine_ratio**depth_max == 0.0:
+        raise ParameterError(
+            f"depth_max = {depth_max} underflows the truncation bound "
+            f"2*{affine_ratio!r}**depth_max to 0"
+        )
 
 
-def base_step(z: complex, params: ConstructionParams) -> Final | Descend:
-    """One case split of the construction.
+def _descend(
+    zs: np.ndarray, params: ConstructionParams, side: str, depth_max: int
+) -> tuple[np.ndarray, ...]:
+    """The case split of every generation, vectorized over the flattened points.
 
-    Identity outside all protecting disks, the radial interpolation on an
-    annulus, or a descent instruction ``(i, zhat)`` with the renormalized
-    coordinate inside generating disk ``i``.
+    Returns per point ``(level, x, d, idx, a, b, seam)``: the terminal level
+    (``depth_max`` if still inside a generating disk), the point in that
+    level's unit-disk frame, its distance to the nearest center and that
+    center's index (both 0 at unresolved points), the affine pair taking a
+    frame value ``v`` to ``a + b*v`` (``b`` is real), and whether a visited
+    level lay within :data:`SEAM_RTOL` of a seam.  A
+    terminal point is in the identity region if ``d >= r``, else on the ring,
+    which holds its inner seam ``d == ratio``.
     """
-    idx, dist = params.packing.nearest_center(np.array([z]))
-    i, d = int(idx[0]), float(dist[0])
+    ratio, affine, _ = _side_table(params, side)
+    _check_depth(depth_max, affine)
+    x = np.asarray(zs, dtype=np.complex128).ravel().copy()
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x))[0]
+        raise ParameterError(f"map points must be finite; point {bad} is {x[bad]}")
+    n, r = x.size, params.r
+    tol_r, tol_in = SEAM_RTOL * r, SEAM_RTOL * ratio
+    a = np.zeros(n, dtype=np.complex128)
+    level = np.full(n, depth_max, dtype=np.int64)
+    dist = np.zeros(n, dtype=np.float64)
+    idx = np.zeros(n, dtype=np.int64)
+    seam = np.zeros(n, dtype=bool)
+    scales = [1.0]
+    active = np.arange(n)
+    for lv in range(depth_max):
+        if active.size == 0:
+            break
+        xa = x[active]
+        i, d = params.packing.nearest_center(xa)
+        seam[active[(np.abs(d - r) <= tol_r) | (np.abs(d - ratio) <= tol_in)]] = True
+        inside = d < ratio
+        final = np.flatnonzero(~inside)
+        done = active[final]
+        level[done], dist[done], idx[done] = lv, d[final], i[final]
+        active = active[inside]
+        c = params.packing.centers[i[inside]]
+        a[active] += scales[-1] * c
+        scales.append(scales[-1] * affine)
+        x[active] = (xa[inside] - c) / ratio
+    return level, x, dist, idx, a, np.asarray(scales)[level], seam
+
+
+def _descend_one(
+    z: complex, params: ConstructionParams, side: str, depth_max: int
+) -> tuple[int, complex, float, int, complex, complex, bool]:
+    """Scalar twin of :func:`_descend` in plain Python arithmetic.
+
+    A batch of one is several times slower per call, and NumPy's ``pow`` and
+    complex multiply round differently from Python's, so both twins stay.
+    """
+    ratio, affine, _ = _side_table(params, side)
+    _check_depth(depth_max, affine)
+    x = complex(z)
+    if not cmath.isfinite(x):
+        raise ParameterError(f"map points must be finite, got {x}")
     r = params.r
-    if d >= r:
-        return Final(z)
-    c = complex(params.packing.centers[i])
-    if d >= params.sigma * r:
-        rho = d / r
-        return Final(c + rho ** (1.0 / params.K - 1.0) * (z - c))
-    return Descend(i, (z - c) / (params.sigma * r))
+    tol_r, tol_in = SEAM_RTOL * r, SEAM_RTOL * ratio
+    a, b = 0j, 1 + 0j
+    seam = False
+    for level in range(depth_max):
+        idx, dist = params.packing.nearest_center(np.array([x]))
+        i, d = int(idx[0]), float(dist[0])
+        seam = seam or abs(d - r) <= tol_r or abs(d - ratio) <= tol_in
+        if d >= ratio:
+            return level, x, d, i, a, b, seam
+        c = complex(params.packing.centers[i])
+        a += b * c
+        b *= affine
+        x = (x - c) / ratio
+    return depth_max, x, 0.0, 0, a, b, seam
+
+
+def _map_one(z: complex, params: ConstructionParams, side: str, depth_max: int) -> MapResult:
+    level, x, d, i, a, b, _ = _descend_one(z, params, side, depth_max)
+    if level == depth_max:
+        return MapResult(a, depth_max, 2.0 * _side_table(params, side)[1] ** depth_max)
+    if d < params.r:
+        c = complex(params.packing.centers[i])
+        x = c + (d / params.r) ** _side_table(params, side)[2] * (x - c)
+    return MapResult(a + b * x, level, 0.0)
+
+
+def _map_batch(
+    zs: np.ndarray, params: ConstructionParams, side: str, depth_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    zs = np.asarray(zs, dtype=np.complex128)
+    level, x, d, idx, a, b, _ = _descend(zs, params, side, depth_max)
+    _, affine, exponent = _side_table(params, side)
+    unresolved = level == depth_max
+    ring = ~unresolved & (d < params.r)
+    c = params.packing.centers[idx[ring]]
+    x[ring] = c + (d[ring] / params.r) ** exponent * (x[ring] - c)
+    x *= b
+    x += a
+    x[unresolved] = a[unresolved]
+    err = np.where(unresolved, 2.0 * affine**depth_max, 0.0)
+    return x.reshape(zs.shape), level.reshape(zs.shape), err.reshape(zs.shape)
 
 
 def phi(z: complex, params: ConstructionParams, depth_max: int = 32) -> MapResult:
     """Evaluate the limit map at one point."""
-    if depth_max < 1:
-        raise ParameterError(f"depth_max must be >= 1, got {depth_max}")
-    centers = params.packing.centers
-    r, sigma = params.r, params.sigma
-    sr, q = params.source_ratio, params.image_ratio
-    exp_in = 1.0 / params.K - 1.0
-    a, b = 0j, 1 + 0j
-    x = complex(z)
-    for depth in range(depth_max):
-        idx, dist = params.packing.nearest_center(np.array([x]))
-        i, d = int(idx[0]), float(dist[0])
-        if d >= r:
-            return MapResult(a + b * x, depth, 0.0)
-        c = complex(centers[i])
-        if d >= sigma * r:
-            v = c + (d / r) ** exp_in * (x - c)
-            return MapResult(a + b * v, depth, 0.0)
-        a += b * c
-        b *= q
-        x = (x - c) / sr
-    return MapResult(a, depth_max, 2.0 * q**depth_max)
+    return _map_one(z, params, "source", depth_max)
 
 
 def phi_inverse(w: complex, params: ConstructionParams, depth_max: int = 32) -> MapResult:
@@ -111,62 +186,29 @@ def phi_inverse(w: complex, params: ConstructionParams, depth_max: int = 32) -> 
     and radial exponent ``K - 1`` on the image-side ring
     ``sigma**(1/K)*r <= |w - z_i| < r``.
     """
-    if depth_max < 1:
-        raise ParameterError(f"depth_max must be >= 1, got {depth_max}")
-    centers = params.packing.centers
-    r = params.r
-    sr, q = params.source_ratio, params.image_ratio
-    exp_out = params.K - 1.0
-    a, b = 0j, 1 + 0j
-    x = complex(w)
-    for depth in range(depth_max):
-        idx, dist = params.packing.nearest_center(np.array([x]))
-        i, d = int(idx[0]), float(dist[0])
-        if d >= r:
-            return MapResult(a + b * x, depth, 0.0)
-        c = complex(centers[i])
-        if d >= q:
-            v = c + (d / r) ** exp_out * (x - c)
-            return MapResult(a + b * v, depth, 0.0)
-        a += b * c
-        b *= sr
-        x = (x - c) / q
-    return MapResult(a, depth_max, 2.0 * sr**depth_max)
+    return _map_one(w, params, "image", depth_max)
 
 
-def jacobian(
-    z: complex,
-    params: ConstructionParams,
-    depth_max: int = 32,
-    seam_rtol: float = SEAM_RTOL,
-) -> float | None:
+def jacobian(z: complex, params: ConstructionParams, depth_max: int = 32) -> float | None:
     """Jacobian determinant at ``z``, or ``None`` when unresolved.
 
     Each descent multiplies by ``sigma**(2(1/K - 1))``; the terminal factor is
     1 in the identity region and ``(1/K) * rho**(2(1/K - 1))`` at normalized
-    annulus radius ``rho``.  Points within ``seam_rtol`` (relative) of a seam
-    circle, or still descending at ``depth_max``, are reported as undefined.
+    annulus radius ``rho``.  Points whose descent passes within
+    :data:`SEAM_RTOL` (relative) of a seam circle, or still descending at
+    ``depth_max``, are reported as undefined.
     """
-    centers = params.packing.centers
-    r, sigma, K = params.r, params.sigma, params.K
-    sr = params.source_ratio
-    level_factor = sigma ** (2.0 * (1.0 / K - 1.0))
+    level, _, d, _, _, _, seam = _descend_one(z, params, "source", depth_max)
+    if seam or level == depth_max:
+        return None
+    K = params.K
+    level_factor = params.sigma ** (2.0 * (1.0 / K - 1.0))
     acc = 1.0
-    x = complex(z)
-    for _ in range(depth_max):
-        idx, dist = params.packing.nearest_center(np.array([x]))
-        i, d = int(idx[0]), float(dist[0])
-        if abs(d - r) <= seam_rtol * r or abs(d - sigma * r) <= seam_rtol * sigma * r:
-            return None
-        if d > r:
-            return acc
-        c = complex(centers[i])
-        if d > sigma * r:
-            rho = d / r
-            return acc * (1.0 / K) * rho ** (2.0 * (1.0 / K - 1.0))
+    for _ in range(level):
         acc *= level_factor
-        x = (x - c) / sr
-    return None
+    if d > params.r:
+        return acc
+    return acc * (1.0 / K) * (d / params.r) ** (2.0 * (1.0 / K - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -177,156 +219,30 @@ def phi_batch(
     zs: np.ndarray, params: ConstructionParams, depth_max: int = 32
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`phi`; returns ``(values, depths, err_bounds)``."""
-    if depth_max < 1:
-        raise ParameterError(f"depth_max must be >= 1, got {depth_max}")
-    zs = np.asarray(zs, dtype=np.complex128)
-    n = zs.size
-    centers = params.packing.centers
-    r, sigma = params.r, params.sigma
-    sr, q = params.source_ratio, params.image_ratio
-    exp_in = 1.0 / params.K - 1.0
-
-    frame = zs.ravel().copy()
-    a = np.zeros(n, dtype=np.complex128)
-    b = np.ones(n, dtype=np.complex128)
-    out = np.empty(n, dtype=np.complex128)
-    depth = np.full(n, depth_max, dtype=np.int64)
-    err = np.zeros(n, dtype=np.float64)
-    active = np.arange(n)
-
-    for level in range(depth_max):
-        if active.size == 0:
-            break
-        x = frame[active]
-        idx, d = params.packing.nearest_center(x)
-        c = centers[idx]
-        inside = d < sigma * r
-        annulus = ~inside & (d < r)
-        final = ~inside
-        if final.any():
-            sel = active[final]
-            v = x[final].copy()
-            ann_local = annulus[final]
-            if ann_local.any():
-                va = v[ann_local]
-                ca = c[final][ann_local]
-                rho = d[final][ann_local] / r
-                v[ann_local] = ca + rho**exp_in * (va - ca)
-            out[sel] = a[sel] + b[sel] * v
-            depth[sel] = level
-        if inside.any():
-            sel = active[inside]
-            ci = c[inside]
-            a[sel] += b[sel] * ci
-            b[sel] *= q
-            frame[sel] = (x[inside] - ci) / sr
-        active = active[inside]
-
-    if active.size:
-        out[active] = a[active]
-        err[active] = 2.0 * q**depth_max
-    return out.reshape(zs.shape), depth.reshape(zs.shape), err.reshape(zs.shape)
+    return _map_batch(zs, params, "source", depth_max)
 
 
 def phi_inverse_batch(
     ws: np.ndarray, params: ConstructionParams, depth_max: int = 32
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`phi_inverse`; returns ``(values, depths, err_bounds)``."""
-    if depth_max < 1:
-        raise ParameterError(f"depth_max must be >= 1, got {depth_max}")
-    ws = np.asarray(ws, dtype=np.complex128)
-    n = ws.size
-    centers = params.packing.centers
-    r = params.r
-    sr, q = params.source_ratio, params.image_ratio
-    exp_out = params.K - 1.0
-
-    frame = ws.ravel().copy()
-    a = np.zeros(n, dtype=np.complex128)
-    b = np.ones(n, dtype=np.complex128)
-    out = np.empty(n, dtype=np.complex128)
-    depth = np.full(n, depth_max, dtype=np.int64)
-    err = np.zeros(n, dtype=np.float64)
-    active = np.arange(n)
-
-    for level in range(depth_max):
-        if active.size == 0:
-            break
-        x = frame[active]
-        idx, d = params.packing.nearest_center(x)
-        c = centers[idx]
-        inside = d < q
-        annulus = ~inside & (d < r)
-        final = ~inside
-        if final.any():
-            sel = active[final]
-            v = x[final].copy()
-            ann_local = annulus[final]
-            if ann_local.any():
-                va = v[ann_local]
-                ca = c[final][ann_local]
-                rho = d[final][ann_local] / r
-                v[ann_local] = ca + rho**exp_out * (va - ca)
-            out[sel] = a[sel] + b[sel] * v
-            depth[sel] = level
-        if inside.any():
-            sel = active[inside]
-            ci = c[inside]
-            a[sel] += b[sel] * ci
-            b[sel] *= sr
-            frame[sel] = (x[inside] - ci) / q
-        active = active[inside]
-
-    if active.size:
-        out[active] = a[active]
-        err[active] = 2.0 * sr**depth_max
-    return out.reshape(ws.shape), depth.reshape(ws.shape), err.reshape(ws.shape)
+    return _map_batch(ws, params, "image", depth_max)
 
 
 def jacobian_batch(
-    zs: np.ndarray,
-    params: ConstructionParams,
-    depth_max: int = 32,
-    seam_rtol: float = SEAM_RTOL,
+    zs: np.ndarray, params: ConstructionParams, depth_max: int = 32
 ) -> np.ndarray:
-    """Vectorized :func:`jacobian`; unresolved points come back as NaN."""
+    """Vectorized :func:`jacobian`; undefined points come back as NaN."""
     zs = np.asarray(zs, dtype=np.complex128)
-    n = zs.size
-    centers = params.packing.centers
-    r, sigma, K = params.r, params.sigma, params.K
-    sr = params.source_ratio
-    level_factor = sigma ** (2.0 * (1.0 / K - 1.0))
-
-    frame = zs.ravel().copy()
-    acc = np.ones(n, dtype=np.float64)
-    out = np.full(n, np.nan, dtype=np.float64)
-    active = np.arange(n)
-
-    for _ in range(depth_max):
-        if active.size == 0:
-            break
-        x = frame[active]
-        idx, d = params.packing.nearest_center(x)
-        c = centers[idx]
-        seam = (np.abs(d - r) <= seam_rtol * r) | (
-            np.abs(d - sigma * r) <= seam_rtol * sigma * r
-        )
-        outside = (d > r) & ~seam
-        annulus = (d > sigma * r) & (d < r) & ~seam
-        inside = (d < sigma * r) & ~seam
-        if outside.any():
-            sel = active[outside]
-            out[sel] = acc[sel]
-        if annulus.any():
-            sel = active[annulus]
-            rho = d[annulus] / r
-            out[sel] = acc[sel] * (1.0 / K) * rho ** (2.0 * (1.0 / K - 1.0))
-        if inside.any():
-            sel = active[inside]
-            acc[sel] *= level_factor
-            frame[sel] = (x[inside] - c[inside]) / sr
-        active = active[inside]
-
+    level, _, d, _, _, _, seam = _descend(zs, params, "source", depth_max)
+    K = params.K
+    # lambda**k by repeated multiplication, rounding as the scalar path does
+    powers = np.full(int(level.max(initial=0)) + 1, params.sigma ** (2.0 * (1.0 / K - 1.0)))
+    powers[0] = 1.0
+    out = np.cumprod(powers)[level]
+    out[seam | (level == depth_max)] = np.nan
+    ring = np.isfinite(out) & (d < params.r)
+    out[ring] = out[ring] * (1.0 / K) * (d[ring] / params.r) ** (2.0 * (1.0 / K - 1.0))
     return out.reshape(zs.shape)
 
 
@@ -342,36 +258,12 @@ def terminal_info(
     safely a finite-difference stencil fits inside one smooth piece.
     """
     zs = np.asarray(zs, dtype=np.complex128)
-    n = zs.size
-    r, sigma = params.r, params.sigma
-    sr = params.source_ratio
-    centers = params.packing.centers
-
-    frame = zs.ravel().copy()
-    depth = np.full(n, depth_max, dtype=np.int64)
-    fdist = np.zeros(n, dtype=np.float64)
-    branch = np.full(n, 2, dtype=np.int64)
-    active = np.arange(n)
-    for level in range(depth_max):
-        if active.size == 0:
-            break
-        x = frame[active]
-        idx, d = params.packing.nearest_center(x)
-        inside = d < sigma * r
-        final = ~inside
-        if final.any():
-            sel = active[final]
-            depth[sel] = level
-            fdist[sel] = d[final]
-            branch[sel] = (d[final] < r).astype(np.int64)
-        if inside.any():
-            sel = active[inside]
-            frame[sel] = (x[inside] - centers[idx[inside]]) / sr
-        active = active[inside]
-    if active.size:
-        _, d = params.packing.nearest_center(frame[active])
-        fdist[active] = d
-    return depth.reshape(zs.shape), fdist.reshape(zs.shape), branch.reshape(zs.shape)
+    level, x, d, _, _, _, _ = _descend(zs, params, "source", depth_max)
+    unresolved = level == depth_max
+    if unresolved.any():
+        d[unresolved] = params.packing.nearest_center(x[unresolved])[1]
+    branch = np.where(unresolved, 2, (d < params.r).astype(np.int64))
+    return level.reshape(zs.shape), d.reshape(zs.shape), branch.reshape(zs.shape)
 
 
 def phi_map_fn(
@@ -411,16 +303,9 @@ class LpMassReport:
     level_ratio: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "gamma": self.gamma,
-            "converges": self.converges,
-            "total": self.total if math.isfinite(self.total) else "inf",
-            "partial_sums": list(self.partial_sums),
-            "critical": self.critical,
-            "level_constant": self.level_constant,
-            "level_ratio": self.level_ratio,
-        }
+        out = asdict(self)
+        out["total"] = self.total if math.isfinite(self.total) else "inf"
+        return out
 
 
 def lp_mass_closed_form(
@@ -488,23 +373,30 @@ class LpMassEstimate:
     excluded_area: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "depth_max": self.depth_max,
-            "seed": self.seed,
-            "method": self.method,
-            "undefined_fraction": self.undefined_fraction,
-            "excluded_area": self.excluded_area,
-        }
+        return asdict(self)
 
 
 def _uniform_disk(rng: np.random.Generator, n: int, radius: float = 1.0) -> np.ndarray:
     rad = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
     ang = rng.uniform(0.0, 2.0 * math.pi, n)
     return rad * np.exp(1j * ang)
+
+
+def _chain_offsets(
+    digits: np.ndarray, centers: np.ndarray, ratio: float
+) -> tuple[np.ndarray, float]:
+    """Offsets ``a`` and common scale of the similarities addressed by each row of ``digits``.
+
+    Row ``J`` addresses ``z -> a + scale*z``, the composite of the maps
+    ``z -> centers[j] + ratio*z`` with the first digit outermost.  Seeded
+    ``lp-mass`` and ``holder`` output depends on this accumulation order.
+    """
+    a = np.zeros(digits.shape[0], dtype=np.complex128)
+    scale = 1.0
+    for j in range(digits.shape[1]):
+        a += scale * centers[digits[:, j]]
+        scale *= ratio
+    return a, scale
 
 
 def _template_points(
@@ -592,12 +484,7 @@ def lp_mass_monte_carlo(
         rng = np.random.default_rng(streams[k])
         u = _template_points(rng, n_k, params)
         if k > 0:
-            digits = rng.integers(0, m, size=(n_k, k))
-            a = np.zeros(n_k, dtype=np.complex128)
-            scale = 1.0
-            for j in range(k):
-                a += scale * centers[digits[:, j]]
-                scale *= sr
+            a, scale = _chain_offsets(rng.integers(0, m, size=(n_k, k)), centers, sr)
             z = a + scale * u
         else:
             z = u

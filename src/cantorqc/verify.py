@@ -10,7 +10,7 @@ from randomized disk sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,7 @@ from .geometry import (
     ParameterError,
     generation_centers,
 )
-from .qcmap import jacobian_batch
+from .qcmap import _chain_offsets, _uniform_disk, jacobian_batch
 
 MapFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
@@ -48,12 +48,7 @@ class DimensionEstimate:
     r2: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "scales": list(self.scales),
-            "counts": list(self.counts),
-            "slope": self.slope,
-            "r2": self.r2,
-        }
+        return asdict(self)
 
 
 def _box_count(pts: np.ndarray, scale: float, offsets: np.ndarray) -> int:
@@ -164,21 +159,7 @@ class HolderReport:
     excluded_pairs: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "exponent_target": self.exponent_target,
-            "max_ratio": self.max_ratio,
-            "regression_exponent": self.regression_exponent,
-            "pair_count": self.pair_count,
-            "regression_exponent_adversarial": self.regression_exponent_adversarial,
-            "r2": self.r2,
-            "excluded_pairs": self.excluded_pairs,
-        }
-
-
-def _uniform_disk(rng: np.random.Generator, n: int, radius: float = 1.0) -> np.ndarray:
-    rad = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
-    ang = rng.uniform(0.0, 2.0 * math.pi, n)
-    return rad * np.exp(1j * ang)
+        return asdict(self)
 
 
 def _chain_endpoints(
@@ -197,11 +178,7 @@ def _chain_endpoints(
         digits = rng.integers(0, m, size=(n_parents, gen - 1)) if gen > 1 else np.zeros(
             (n_parents, 0), dtype=np.int64
         )
-        a = np.zeros(n_parents, dtype=np.complex128)
-        scale = 1.0
-        for j in range(gen - 1):
-            a += scale * centers[digits[:, j]]
-            scale *= sr
+        a, scale = _chain_offsets(digits, centers, sr)
         i_dig = rng.integers(0, m, n_parents)
         j_dig = (i_dig + 1 + rng.integers(0, m - 1, n_parents)) % m
         off = sr * complex(config.adversarial_offset)
@@ -353,15 +330,7 @@ class PackingConditionReport:
     floor_diameter: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "exponent": self.exponent,
-            "trials": self.trials,
-            "max_ratio": self.max_ratio,
-            "max_ratio_base": self.max_ratio_base,
-            "inherited_ok": self.inherited_ok,
-            "floor_diameter": self.floor_diameter,
-        }
+        return asdict(self)
 
 
 def packing_condition_check(
@@ -433,16 +402,7 @@ class GrowthReport:
     max_undefined_fraction: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "depth": self.depth,
-            "samples_per_trial": self.samples_per_trial,
-            "exponent": self.exponent,
-            "max_normalized": self.max_normalized,
-            "stderr_at_max": self.stderr_at_max,
-            "flagged": self.flagged,
-            "max_undefined_fraction": self.max_undefined_fraction,
-        }
+        return asdict(self)
 
 
 def integral_growth_check(

@@ -9,16 +9,15 @@ from cantorqc import (
     Disk,
     EnumerationCapError,
     ParameterError,
-    Region,
     Similarity,
     build_packing,
     derive_params,
     generation_centers,
     generation_disks,
     image_map,
-    locate,
     source_map,
 )
+from descent import descents
 
 finite_complex = st.builds(
     complex,
@@ -239,36 +238,43 @@ class TestGenerationDisks:
 
 
 class TestLocate:
+    """Where a point sits relative to the first generation: a terminal level
+    of 0 with ``d >= r`` is the identity region, with ``d < r`` the annulus;
+    level 1 means it descended into a generating disk."""
+
     def test_outside_unit_disk(self, params7):
-        assert locate(1.5 + 0.2j, params7).region is Region.OUTSIDE
+        for level, _, d, _, _, _, _ in descents(1.5 + 0.2j, params7):
+            assert level == 0 and d >= params7.r
 
     def test_gap_point_outside(self, params7):
         # midpoint between the origin disk and a ring disk lies in no disk
         z = 0.5 * params7.packing.centers[3]
         assert abs(z) > params7.r
-        assert locate(complex(z), params7).region is Region.OUTSIDE
+        for level, _, d, _, _, _, _ in descents(complex(z), params7):
+            assert level == 0 and d >= params7.r
 
     def test_center_is_inside_with_zero_frame_point(self, params7):
         zi = complex(params7.packing.centers[2])
-        loc = locate(zi, params7)
-        assert loc.region is Region.INSIDE and loc.index == 2
-        assert loc.point == 0j
+        for level, x, _, _, a, _, _ in descents(zi, params7):
+            assert level == 1 and a == zi
+            assert x == 0j
 
     def test_mid_annulus(self, params7):
         zi = complex(params7.packing.centers[4])
         z = zi + params7.r * (1 + params7.sigma) / 2.0
-        loc = locate(z, params7)
-        assert loc.region is Region.ANNULUS and loc.index == 4
-        assert params7.sigma < abs(loc.point) < 1.0
+        for level, _, d, i, _, _, _ in descents(z, params7):
+            assert level == 0 and i == 4
+            assert params7.sigma < d / params7.r < 1.0
 
     def test_inner_boundary_tie_break_is_annulus(self, params7):
         zi = complex(params7.packing.centers[1])
         z = zi + params7.sigma * params7.r
-        assert locate(z, params7).region is Region.ANNULUS
+        for level, _, d, i, _, _, _ in descents(z, params7):
+            assert level == 0 and i == 1 and d < params7.r
 
     def test_inside_renormalization(self, params7):
         zi = complex(params7.packing.centers[5])
         off = 0.3 * params7.sigma * params7.r * np.exp(0.7j)
-        loc = locate(zi + complex(off), params7)
-        assert loc.region is Region.INSIDE
-        assert loc.point == pytest.approx(off / (params7.sigma * params7.r), rel=1e-12)
+        for level, x, _, _, _, _, _ in descents(zi + complex(off), params7):
+            assert level == 1
+            assert x == pytest.approx(off / (params7.sigma * params7.r), rel=1e-12)

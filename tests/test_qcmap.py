@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cantorqc import (
-    Descend,
     Disk,
-    Final,
     GluedMapSpec,
     GluedPiece,
     ParameterError,
-    base_step,
     build_packing,
     derive_params,
     glued_map,
@@ -31,6 +28,7 @@ from cantorqc import (
     terminal_info,
     unresolved_area,
 )
+from descent import descents
 from fdtools import fd_derivatives as _fd
 from oracle_composition import literal_phi
 
@@ -42,9 +40,13 @@ def fd_derivatives(params, z, h, depth_max=40):
 
 
 class TestBaseStep:
+    """One generation's case split, through both descent kernels."""
+
     def test_outside_unit_disk_is_final_identity(self, params7):
-        step = base_step(1.7 - 0.4j, params7)
-        assert isinstance(step, Final) and step.value == 1.7 - 0.4j
+        z = 1.7 - 0.4j
+        for level, x, d, _, a, b, _ in descents(z, params7):
+            assert level == 0 and d >= params7.r
+            assert a + b * x == z
 
     def test_outer_circle_continuity(self, params7):
         # on |z - z_i| = r the radial formula collapses to the identity
@@ -58,15 +60,18 @@ class TestBaseStep:
     def test_descend_renormalizes(self, params7):
         zi = complex(params7.packing.centers[0])
         z = zi + 0.2 * params7.sigma * params7.r
-        step = base_step(z, params7)
-        assert isinstance(step, Descend) and step.index == 0
-        assert step.point == pytest.approx(0.2, rel=1e-12)
+        for level, x, _, _, a, b, _ in descents(z, params7):
+            assert level == 1 and a == zi and b == params7.image_ratio
+            assert x == pytest.approx(0.2, rel=1e-12)
 
     def test_k1_every_piece_is_identity(self, params7_k1):
         for z in (0.1 + 0.2j, 0.5, 0.9j, 2.0 + 0j):
-            step = base_step(z, params7_k1)
-            if isinstance(step, Final):
-                assert step.value == pytest.approx(z, abs=1e-15)
+            res = phi(z, params7_k1, depth_max=1)
+            if res.err_bound == 0.0:
+                assert res.value == pytest.approx(z, abs=1e-15)
+            vals, _, errs = phi_batch(np.array([z]), params7_k1, 1)
+            if errs[0] == 0.0:
+                assert vals[0] == pytest.approx(z, abs=1e-15)
 
 
 class TestPhi:
@@ -131,6 +136,42 @@ class TestPhi:
             # scalar and vector paths may differ by an ulp in the pow call
             assert abs(res.value - vals[k]) < 1e-13
             assert res.depth == depths[k] and res.err_bound == errs[k]
+
+
+SCALAR_ENTRIES = (phi, phi_inverse, jacobian)
+BATCH_ENTRIES = (phi_batch, phi_inverse_batch, jacobian_batch, terminal_info)
+
+
+def _call(entry, z, params, depth_max):
+    if entry in BATCH_ENTRIES:
+        return entry(np.array([0.3, z, 0.2j]), params, depth_max)
+    return entry(z, params, depth_max)
+
+
+class TestValidation:
+    """Every entry point rejects bad input by name, never certifies it."""
+
+    @pytest.mark.parametrize("entry", SCALAR_ENTRIES + BATCH_ENTRIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "bad", [complex(math.nan, 0), complex(math.inf, 0), complex(0.1, -math.inf)]
+    )
+    def test_non_finite_point_rejected(self, params7, entry, bad):
+        where = "point 1 is" if entry in BATCH_ENTRIES else "got"
+        with pytest.raises(ParameterError, match=f"must be finite.*{where}"):
+            _call(entry, bad, params7, 8)
+
+    @pytest.mark.parametrize("entry", SCALAR_ENTRIES + BATCH_ENTRIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("depth_max", [0, -2])
+    def test_depth_max_below_one_rejected(self, params7, entry, depth_max):
+        with pytest.raises(ParameterError, match="depth_max must be >= 1"):
+            _call(entry, 0.1j, params7, depth_max)
+
+    @pytest.mark.parametrize("entry", SCALAR_ENTRIES + BATCH_ENTRIES, ids=lambda f: f.__name__)
+    def test_underflowing_depth_max_rejected(self, params7, entry):
+        # 2*ratio**depth_max == 0 would certify an unresolved point as exact
+        assert 2.0 * params7.image_ratio**2000 == 0.0
+        with pytest.raises(ParameterError, match="underflows"):
+            _call(entry, 0j, params7, 2000)
 
 
 class TestLiteralOracle:
