@@ -9,8 +9,10 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
+
 import numpy as np
 
 from . import nonremovable, qcmap, verify
@@ -108,7 +110,7 @@ def cmd_disks(args: argparse.Namespace, params: ConstructionParams) -> None:
 
 
 def _iter_point_chunks(path: str, chunk: int = 8192):
-    """Yield point arrays of bounded size; malformed lines carry their number."""
+    """Yield point arrays of bounded size; malformed or non-finite lines carry their number."""
     buf: list[complex] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -119,9 +121,12 @@ def _iter_point_chunks(path: str, chunk: int = 8192):
             if lineno == 1 and parts[0].strip().lower() in ("re", "x"):
                 continue
             try:
-                buf.append(complex(float(parts[0]), float(parts[1])))
+                point = complex(float(parts[0]), float(parts[1]))
             except (ValueError, IndexError) as exc:
                 raise CliError(f"{path}:{lineno}: malformed point line {line!r}") from exc
+            if not cmath.isfinite(point):
+                raise ParameterError(f"{path}:{lineno}: map points must be finite, got {line!r}")
+            buf.append(point)
             if len(buf) >= chunk:
                 yield np.asarray(buf, dtype=np.complex128)
                 buf = []

@@ -17,7 +17,6 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 #: Largest number of same-generation disks that may be materialized at once.
 ENUMERATION_CAP = 10**7
@@ -135,24 +134,47 @@ class DiskPacking:
         return self.m * self.r**2
 
     @cached_property
-    def _tree(self) -> cKDTree:
-        pts = np.column_stack([self.centers.real, self.centers.imag])
-        return cKDTree(pts)
+    def _grid(self) -> "_CellGrid":
+        return _CellGrid.build(self.centers, self.r)
 
     def nearest_center(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Index of the closest packing center per point, and that distance.
 
         Closed disks are disjoint, so the only disk that can contain a point
-        is the one with the nearest center.
+        is the one with the nearest center.  The index is exactly
+        ``argmin(np.abs(pts - centers))`` (first index on ties): small packings
+        search every center, larger ones only the candidate list of the
+        point's grid cell (see :class:`_CellGrid`).
         """
         pts = np.asarray(pts, dtype=np.complex128)
-        if self.m <= 24:
-            d2 = np.abs(pts[..., None] - self.centers[None, :])
-            idx = np.argmin(d2, axis=-1)
+        if self.m <= _BRUTE_FORCE_MAX:
+            idx = _brute_nearest(pts, self.centers)
         else:
-            _, idx = self._tree.query(np.column_stack([pts.real, pts.imag]))
+            idx = self._grid.nearest(pts.ravel()).reshape(pts.shape)
         dist = np.abs(pts - self.centers[idx])
         return idx, dist
+
+    def _nearest_one(self, z: complex) -> tuple[int, float]:
+        """Scalar :meth:`nearest_center` in plain Python: same index and distance."""
+        grid = self._grid
+        fx, fy = (z.real - grid.x0) / grid.h, (z.imag - grid.y0) / grid.h
+        if not (0.0 <= fx < grid.nx and 0.0 <= fy < grid.ny):
+            idx, dist = self.nearest_center(np.array([z]))
+            return int(idx[0]), float(dist[0])
+        best, near, points = math.inf, [], grid.points
+        # padding reads the sentinel at infinity, which is never near
+        for j in grid.table[int(fx) * grid.ny + int(fy)].tolist():
+            c = points[j]
+            dx, dy = z.real - c.real, z.imag - c.imag
+            d2 = dx * dx + dy * dy
+            if d2 < best * (1.0 - _TIE_RTOL):
+                best, near = d2, [(j, c)]
+            elif d2 <= best * (1.0 + _TIE_RTOL):
+                near.append((j, c))
+        # near ties are decided by the complex absolute value, first index first
+        dists = [np.abs(np.complex128(z - c)) for _, c in near]
+        k = dists.index(min(dists))
+        return near[k][0], float(dists[k])
 
     def validate(self) -> None:
         """Raise :class:`PackingError` unless disks are disjoint and inside the unit disk."""
@@ -161,10 +183,19 @@ class DiskPacking:
         if np.max(np.abs(self.centers)) + self.r >= 1.0:
             raise PackingError("a disk escapes the open unit disk")
         if self.m > 1:
-            d, _ = self._tree.query(
-                np.column_stack([self.centers.real, self.centers.imag]), k=2
-            )
-            min_gap = float(d[:, 1].min())
+            # pairs k apart in x order; once every such pair is farther apart
+            # in x than the closest pair found, so are all pairs further apart
+            order = np.argsort(self.centers.real)
+            x, y = self.centers.real[order], self.centers.imag[order]
+            gap2 = math.inf
+            for k in range(1, self.m):
+                dx = x[k:] - x[:-k]
+                nearest_x = float(dx.min())
+                if nearest_x * nearest_x >= gap2:
+                    break
+                dy = y[k:] - y[:-k]
+                gap2 = min(gap2, float((dx * dx + dy * dy).min()))
+            min_gap = math.sqrt(gap2)
             if min_gap <= 2 * self.r:
                 raise PackingError(
                     f"closed disks overlap: min center distance {min_gap:.6g} "
@@ -178,6 +209,153 @@ class DiskPacking:
             "c_m": self.c_m,
             "centers": [[float(z.real), float(z.imag)] for z in self.centers],
         }
+
+
+#: Packings of at most this many disks are searched by brute force; larger
+#: ones through :class:`_CellGrid`, which is faster from here on.
+_BRUTE_FORCE_MAX = 9
+
+#: Relative widening of every grid cell and candidate bound, far above the
+#: rounding of the distances compared, so no possible nearest center is dropped.
+_GRID_SLACK = 1e-9
+#: Squared distances this close (relative) are re-ranked by ``np.abs``.
+_TIE_RTOL = 1e-12
+#: Grid cells per center, at most: bounds the table of sparse packings.
+_CELLS_PER_CENTER = 8
+#: Point-candidate pairs held at once by a lookup: a few hundred kB of temporaries.
+_PAIRS = 1 << 13
+
+
+def _brute_nearest(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``argmin(np.abs(pts - centers))`` over all centers, in chunks of points."""
+    flat = pts.ravel()
+    idx = np.empty(flat.size, dtype=np.intp)
+    rows = max(1, _PAIRS // centers.size)
+    for start in range(0, flat.size, rows):
+        block = flat[start : start + rows, None] - centers[None, :]
+        idx[start : start + rows] = np.argmin(np.abs(block), axis=1)
+    return idx.reshape(pts.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class _CellGrid:
+    """Uniform grid over a box holding every center, and ``[-extent, extent]**2``.
+
+    Row ``c`` of ``table`` lists, in increasing order, every center ``S`` with
+    ``dist(S, cell) <= min_T maxdist(T, cell) + reach``: with ``reach = 0``
+    no other center can be the nearest to a point of cell ``c``.  Rows are
+    padded with index ``m``, the sentinel at infinity that ends ``padded``.
+    Points outside the box are searched by brute force.
+    """
+
+    x0: float
+    y0: float
+    h: float
+    nx: int
+    ny: int
+    table: np.ndarray
+    padded: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        centers: np.ndarray,
+        h: float,
+        reach: float = 0.0,
+        extent: float = 1.0,
+        pad: float = 0.0,
+    ) -> "_CellGrid":
+        """Grid of cell side at least ``h``, and at most ``_CELLS_PER_CENTER * m``
+        cells; each cell's rows also serve the points within ``pad`` of it."""
+        x, y = centers.real, centers.imag
+        x0, x1 = min(-extent, float(x.min())), max(extent, float(x.max()))
+        y0, y1 = min(-extent, float(y.min())), max(extent, float(y.max()))
+        h = max(h, math.sqrt((x1 - x0) * (y1 - y0) / (_CELLS_PER_CENTER * centers.size)))
+        nx, ny = math.ceil((x1 - x0) / h), math.ceil((y1 - y0) / h)
+        half = h / 2.0 + pad + _GRID_SLACK * h
+        ix, iy = np.divmod(np.arange(nx * ny), ny)
+        mid_x, mid_y = x0 + h * (ix + 0.5), y0 + h * (iy + 0.5)
+        cells, members = [], []
+        step = max(1, _PAIRS // centers.size)
+        for start in range(0, nx * ny, step):
+            ax = np.abs(x - mid_x[start : start + step, None])
+            ay = np.abs(y - mid_y[start : start + step, None])
+            far = (ax + half) ** 2 + (ay + half) ** 2
+            bound = (np.sqrt(far.min(axis=1)) + reach) * (1.0 + _GRID_SLACK)
+            ax -= half
+            ay -= half
+            np.maximum(ax, 0.0, out=ax)
+            np.maximum(ay, 0.0, out=ay)
+            cell, member = np.nonzero(ax * ax + ay * ay <= (bound * bound)[:, None])
+            cells.append(cell + start)
+            members.append(member)
+        cell, member = np.concatenate(cells), np.concatenate(members)
+        counts = np.bincount(cell, minlength=nx * ny)
+        table = np.full((nx * ny, counts.max()), centers.size, dtype=np.int32)
+        table[cell, np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)] = member
+        padded = np.append(centers, complex(math.inf, math.inf))
+        return cls(x0, y0, h, nx, ny, table, padded)
+
+    @cached_property
+    def points(self) -> list[complex]:
+        """``padded`` as Python numbers, for the scalar lookup."""
+        return self.padded.tolist()
+
+    def cells(self, pts: np.ndarray) -> np.ndarray:
+        """Cell of each point of the flat ``pts``, -1 outside the box."""
+        fx = pts.real - self.x0
+        fx /= self.h
+        fy = pts.imag - self.y0
+        fy /= self.h
+        outside = ~((fx >= 0.0) & (fx < self.nx) & (fy >= 0.0) & (fy < self.ny))
+        np.floor(fx, out=fx)
+        fx *= self.ny
+        fx += np.floor(fy, out=fy)
+        fx[outside] = -1.0
+        return fx.astype(np.intp)
+
+    def candidates(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(point, center)`` index pairs: the row of each point's cell, or
+        every center for a point of cell -1."""
+        m = self.padded.size - 1
+        listed = np.flatnonzero(cells >= 0)
+        rows = self.table[cells[listed]]
+        real = rows < m
+        rest = np.flatnonzero(cells < 0)
+        return (
+            np.concatenate([np.repeat(listed, rows.shape[1])[real.ravel()], np.repeat(rest, m)]),
+            np.concatenate([rows[real], np.tile(np.arange(m), rest.size)]),
+        )
+
+    def nearest(self, pts: np.ndarray) -> np.ndarray:
+        """``argmin(np.abs(pts - centers))`` per point of the flat ``pts``."""
+        cells = self.cells(pts)
+        idx = np.empty(pts.size, dtype=np.intp)
+        width = self.table.shape[1]
+        step = max(1, _PAIRS // width)
+        for start in range(0, pts.size, step):
+            p, cell = pts[start : start + step], cells[start : start + step]
+            cand = self.table[cell]
+            c = self.padded[cand]
+            d2 = p.real[:, None] - c.real
+            dy = p.imag[:, None] - c.imag
+            d2 *= d2
+            dy *= dy
+            d2 += dy
+            best = np.argmin(d2, axis=1)
+            flat = best + np.arange(0, p.size * width, width)
+            close = d2 <= (d2.ravel().take(flat) * (1.0 + _TIE_RTOL))[:, None]
+            if np.count_nonzero(close) > p.size:
+                # near ties are decided by the complex absolute value
+                tied = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
+                best[tied] = np.argmin(np.abs(p[tied, None] - c[tied]), axis=1)
+                flat[tied] = best[tied] + tied * width
+            idx[start : start + step] = cand.ravel().take(flat)
+            # cell -1 read the last row: search every center instead
+            out = np.flatnonzero(cell < 0)
+            if out.size:
+                idx[start + out] = _brute_nearest(p[out], self.padded[:-1])
+        return idx
 
 
 def _hex_lattice(count: int) -> np.ndarray:

@@ -26,8 +26,10 @@ at most ``2**-53`` relative to the cluster's mass over ``|u|``: below the
 rounding of the direct sum itself.  Near clusters recurse; near clusters of
 at most :data:`LEAF` atoms, whole measures of at most :data:`LEAF` atoms and
 measures without an IFS are summed directly as ``weights/(z - positions)``.
-Atoms are still enumerated: the near-atom flags and the growth certificate
-query them through a KD-tree.
+Atoms are still enumerated.  The near-atom flags and the growth certificate
+descend the same tree: a query keeps only the clusters whose disk, widened
+far beyond rounding, can still hold an answer, and compares atoms exactly
+as a KD-tree would, by ``dx*dx + dy*dy``, only inside the leaves left.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     ENUMERATION_CAP,
+    _CellGrid,
     ConstructionParams,
     ParameterError,
     build_packing,
@@ -66,6 +68,16 @@ P = 53
 LEAF = 512
 #: Point-cluster pairs held at once by the tree descent: a few MB of temporaries.
 _PAIRS = 1 << 16
+#: Relative widening of cluster radii in the atom queries, far above the
+#: rounding of atom, cluster and point positions.
+_SLACK = 1e-9
+#: Widening, in a cluster's own frame, of the cells and reach of the
+#: ``ImageIFS`` grids.  Clusters of scale below it open every child, so the
+#: rounding of a frame point, about ``1e-14/scale``, stays far below it.
+_FRAME_SLACK = 1e-6
+#: Half-width of the box gridded in a cluster's frame; a point farther out
+#: opens every child.
+_EXTENT = 2.0
 
 
 def _series_order(ratio: float) -> int:
@@ -81,6 +93,43 @@ def _series_order(ratio: float) -> int:
 #: summed to the order its upper ratio needs.
 _BAND_RATIOS = THETA / 2.0 ** np.arange(8)
 _BAND_ORDERS = tuple(min(P, _series_order(float(r))) for r in _BAND_RATIOS)
+
+
+def _sq_dist(z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``dx*dx + dy*dy`` between broadcast points and atoms, as a KD-tree sums it."""
+    d2 = z.real - p.real
+    dy = z.imag - p.imag
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return d2
+
+
+def _frame_cells(grid: _CellGrid, u: np.ndarray, scale: float) -> np.ndarray:
+    """Cells of points ``u`` in a cluster's frame; -1 (every child) where the
+    frame is too small to grid."""
+    if scale >= _FRAME_SLACK:
+        return grid.cells(u)
+    return np.full(u.size, -1, dtype=np.intp)
+
+
+def _leaf_levels(m: int) -> int:
+    """Levels of the largest cluster of at most :data:`LEAF` atoms."""
+    levels = 0
+    while m ** (levels + 1) <= LEAF:
+        levels += 1
+    return levels
+
+
+def _open(ifs: "ImageIFS", d: int, pt: np.ndarray, node: np.ndarray, centre: np.ndarray):
+    """The ``m`` depth-``d+1`` children of each (point, depth-``d`` cluster) pair;
+    ``node`` numbers clusters in atom order, ``centre`` is the cluster's image of 0."""
+    m = ifs.m
+    return (
+        np.repeat(pt, m),
+        (node[:, None] * m + np.arange(m)).ravel(),
+        (centre[:, None] + ifs.ratio**d * ifs.centers[None, :]).ravel(),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +158,23 @@ class ImageIFS:
         """Largest ``|p|`` over the atoms ``p`` of a level-``k`` cluster in its
         own frame: ``max|c_j| * (1 + ratio + ... + ratio**(k-1))``."""
         return float(np.abs(self.centers).max()) * (1.0 - self.ratio**k) / (1.0 - self.ratio)
+
+    def _grid(self, reach: float) -> _CellGrid:
+        """Grid over a cluster's frame whose rows reach ``reach`` past the nearest child."""
+        return _CellGrid.build(self.centers, 0.0, reach + 2.0 * _FRAME_SLACK, _EXTENT, _FRAME_SLACK)
+
+    @cached_property
+    def _near_grid(self) -> _CellGrid:
+        """Per cell of a cluster's frame, the children that can be nearest to a
+        point of the cell, so hold the cluster's nearest atom at the last level."""
+        return self._grid(0.0)
+
+    @cached_property
+    def _reach_grid(self) -> _CellGrid:
+        """Per cell of a cluster's frame, the children that can hold the
+        cluster's atom nearest to a point of the cell: those within twice the
+        largest child radius of the nearest child."""
+        return self._grid(2.0 * self.ratio * self.radius(max(self.generation - 1, 0)))
 
     @cached_property
     def moments(self) -> tuple[np.ndarray, ...]:
@@ -179,19 +245,118 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    @cached_property
-    def _tree(self) -> cKDTree:
-        return cKDTree(np.column_stack([self.positions.real, self.positions.imag]))
+    def _ball_counts(self, centers: np.ndarray, radius: float) -> np.ndarray:
+        """Atoms in each closed ball ``B(center, radius)``, by the KD-tree test
+        ``dx*dx + dy*dy <= radius*radius``.
+
+        Down the IFS tree a cluster wholly inside a ball is counted at once and
+        one wholly outside is skipped; the atoms of the leaves left, of at most
+        :data:`LEAF` atoms, are tested one by one.
+        """
+        centers = np.asarray(centers, dtype=np.complex128).ravel()
+        ifs = self.ifs
+        if ifs is None or self.count <= LEAF:
+            return self._direct(
+                centers, lambda d2: np.count_nonzero(d2 <= radius * radius, axis=1)
+            )
+        counts = np.zeros(centers.size, dtype=np.int64)
+        levels = _leaf_levels(ifs.m)
+        leaves = self.positions.reshape(-1, ifs.m**levels)
+        step, rows = max(1, _PAIRS // ifs.m), max(1, _PAIRS // leaves.shape[1])
+        for start in range(0, centers.size, step):
+            pt = np.arange(start, min(start + step, centers.size))
+            node = np.zeros(pt.size, dtype=np.intp)
+            centre = np.zeros(pt.size, dtype=np.complex128)
+            for d in range(ifs.generation - levels + 1):
+                k = ifs.generation - d
+                dist = np.sqrt(_sq_dist(centers[pt], centre))
+                extent = ifs.ratio**d * ifs.radius(k)
+                extent = extent + _SLACK * (1.0 + extent + dist)
+                inside = dist + extent <= radius
+                np.add.at(counts, pt[inside], ifs.m**k)
+                keep = ~inside & (dist - extent <= radius)
+                pt, node, centre = pt[keep], node[keep], centre[keep]
+                if k > levels:
+                    pt, node, centre = _open(ifs, d, pt, node, centre)
+            for i in range(0, pt.size, rows):
+                p = pt[i : i + rows]
+                hit = _sq_dist(centers[p, None], leaves[node[i : i + rows]]) <= radius * radius
+                np.add.at(counts, p, np.count_nonzero(hit, axis=1))
+        return counts
+
+    def _direct(self, zs: np.ndarray, reduce) -> np.ndarray:
+        """``reduce(d2)`` per point of the flat ``zs``, ``d2`` holding its squared
+        distances to every atom; points go in chunks of a few MB."""
+        rows = max(1, _PAIRS // self.count)
+        return np.concatenate(
+            [reduce(_sq_dist(zs[i : i + rows, None], self.positions)) for i in range(0, zs.size, rows)]
+            or [np.empty(0)]
+        )
 
     def ball_mass(self, center: complex, radius: float) -> float:
         """Mass of the closed ball ``B(center, radius)``."""
-        idx = self._tree.query_ball_point([center.real, center.imag], radius)
-        return float(self.weights[idx].sum())
+        if self.ifs is None:
+            d = np.array([complex(center)]) - self.positions
+            return float(self.weights[d.real * d.real + d.imag * d.imag <= radius * radius].sum())
+        # equal weights: the sum of as many weights as atoms inside
+        count = int(self._ball_counts(np.array([complex(center)]), radius)[0])
+        return float(self.weights[:count].sum())
 
     def nearest_atom_distance(self, zs: np.ndarray) -> np.ndarray:
+        """Distance from each point to its nearest atom, ``sqrt(dx*dx + dy*dy)``.
+
+        Branch and bound down the IFS tree.  Following the nearest child at
+        every level reaches one atom, whose distance bounds the search.  A
+        cluster whose disk, widened by :data:`_SLACK`, comes within the bound
+        opens only the children its grid lists: every child for a point far
+        outside it, or for a cluster too small to grid.  A measure without an
+        IFS, or of at most :data:`LEAF` atoms, is searched atom by atom.
+        """
         zs = np.asarray(zs, dtype=np.complex128)
-        d, _ = self._tree.query(np.column_stack([zs.real, zs.imag]))
-        return d
+        flat = zs.ravel()
+        ifs = self.ifs
+        if ifs is None or self.count <= LEAF:
+            return np.sqrt(self._direct(flat, lambda d2: d2.min(axis=1))).reshape(zs.shape)
+        best = np.empty(flat.size)
+        m, s, N = ifs.m, ifs.ratio, ifs.generation
+        leaves = self.positions.reshape(-1, m)
+        step = max(1, _PAIRS // ifs._reach_grid.table.shape[1])
+        for start in range(0, flat.size, step):
+            z = flat[start : start + step]
+            # the atom reached through the nearest child at every level bounds the search
+            node = np.zeros(z.size, dtype=np.intp)
+            centre = np.zeros(z.size, dtype=np.complex128)
+            for d in range(N):
+                j = ifs._near_grid.nearest((z - centre) / s**d)
+                node, centre = node * m + j, centre + s**d * ifs.centers[j]
+            bound = np.sqrt(_sq_dist(z, self.positions[node]))
+            bound += _SLACK * (1.0 + bound)
+            # the clusters that can hold a nearer atom, down to the atoms' parents
+            pt = np.arange(z.size)
+            node = np.zeros(z.size, dtype=np.intp)
+            centre = np.zeros(z.size, dtype=np.complex128)
+            for d in range(N - 1):
+                cells = _frame_cells(ifs._reach_grid, (z[pt] - centre) / s**d, s**d)
+                pair, j = ifs._reach_grid.candidates(cells)
+                pt, node = pt[pair], node[pair] * m + j
+                centre = centre[pair] + s**d * ifs.centers[j]
+                reach = bound[pt] + s ** (d + 1) * ifs.radius(N - d - 1) * (1.0 + _SLACK)
+                keep = _sq_dist(z[pt], centre) <= reach * reach
+                pt, node, centre = pt[keep], node[keep], centre[keep]
+            # their atoms that can be nearest: a cell's row, or every atom
+            cells = _frame_cells(ifs._near_grid, (z[pt] - centre) / s ** (N - 1), s ** (N - 1))
+            listed = cells >= 0
+            # the padding index m stands for atom m-1 of the same parent
+            atoms = np.minimum(ifs._near_grid.table[cells[listed]], m - 1)
+            near = np.full(z.size, math.inf)
+            p, n = pt[listed], node[listed]
+            np.minimum.at(near, p, _sq_dist(z[p, None], leaves[n[:, None], atoms]).min(axis=1))
+            rest, rows = np.flatnonzero(~listed), max(1, _PAIRS // m)
+            for i in range(0, rest.size, rows):
+                p, n = pt[rest[i : i + rows]], node[rest[i : i + rows]]
+                np.minimum.at(near, p, _sq_dist(z[p, None], leaves[n]).min(axis=1))
+            best[start : start + step] = near
+        return np.sqrt(best).reshape(zs.shape)
 
     def growth_ratio(self, centers: np.ndarray, radii: np.ndarray) -> float:
         """Max of ``mass(B)/rho**s`` over all (center, radius) combinations.
@@ -202,9 +367,8 @@ class DiscreteMeasure:
             raise ParameterError("growth_ratio needs equal atom weights")
         weight = float(self.weights[0])
         best = 0.0
-        pts = np.column_stack([np.asarray(centers).real, np.asarray(centers).imag])
         for rho in np.asarray(radii, dtype=float):
-            counts = self._tree.query_ball_point(pts, rho, return_length=True)
+            counts = self._ball_counts(centers, rho)
             best = max(best, float(counts.max()) * weight / rho**self.growth_exponent)
         return best
 
@@ -297,9 +461,7 @@ def _tree_sum(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
     """``sum_k w_k / (z - p_k)`` by descending the measure's IFS tree."""
     ifs = measure.ifs
     m, s, N = ifs.m, ifs.ratio, ifs.generation
-    leaf_levels = 0
-    while m ** (leaf_levels + 1) <= LEAF:
-        leaf_levels += 1
+    leaf_levels = _leaf_levels(m)
     leaf_depth = N - leaf_levels
     leaves = measure.positions.reshape(-1, m**leaf_levels)
     leaf_weights = measure.weights[None, : m**leaf_levels]
@@ -327,9 +489,7 @@ def _tree_sum(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
             near = ~far
             pt, node, centre = pt[near], node[near], centre[near]
             if d < leaf_depth:
-                pt = np.repeat(pt, m)
-                node = (node[:, None] * m + np.arange(m)).ravel()
-                centre = (centre[:, None] + scale * ifs.centers[None, :]).ravel()
+                pt, node, centre = _open(ifs, d, pt, node, centre)
         for i in range(0, pt.size, leaf_rows):
             p, n = pt[i : i + leaf_rows], node[i : i + leaf_rows]
             _scatter_add(acc, p, (leaf_weights / (z[p][:, None] - leaves[n])).sum(axis=1))

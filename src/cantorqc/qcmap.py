@@ -135,8 +135,7 @@ def _descend_one(
     a, b = 0j, 1 + 0j
     seam = False
     for level in range(depth_max):
-        idx, dist = params.packing.nearest_center(np.array([x]))
-        i, d = int(idx[0]), float(dist[0])
+        i, d = params.packing._nearest_one(x)
         seam = seam or abs(d - r) <= tol_r or abs(d - ratio) <= tol_in
         if d >= ratio:
             return level, x, d, i, a, b, seam
@@ -616,7 +615,16 @@ def make_glued_spec(pieces: Sequence[GluedPiece]) -> GluedMapSpec:
 
 
 def glued_map(z: complex, spec: GluedMapSpec, depth_max: int = 32) -> MapResult:
-    """Evaluate the glued map: ``z_j + r_j * phi_j((z - z_j)/r_j)`` on host ``j``."""
+    """Evaluate the glued map: ``z_j + r_j * phi_j((z - z_j)/r_j)`` on host ``j``.
+
+    ``z`` and ``depth_max`` are checked as :func:`phi` checks them, for every
+    piece, whether or not ``z`` lies on a host.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ParameterError(f"map points must be finite, got {z}")
+    for piece in spec.pieces:
+        _check_depth(depth_max, piece.params.image_ratio)
     for piece in spec.pieces:
         host = piece.host
         if abs(z - host.center) < host.radius:
@@ -626,4 +634,4 @@ def glued_map(z: complex, spec: GluedMapSpec, depth_max: int = 32) -> MapResult:
                 res.depth,
                 host.radius * res.err_bound,
             )
-    return MapResult(complex(z), 0, 0.0)
+    return MapResult(z, 0, 0.0)

@@ -28,6 +28,7 @@ from cantorqc import (
     terminal_info,
     verify_counterexample,
 )
+import criterion12
 from cantorqc.verify import box_dimension, generation_disk_growth
 from fdtools import fd_derivatives
 from oracle_composition import literal_phi
@@ -271,28 +272,9 @@ def test_criterion_11_counterexample():
 
 def test_criterion_12_cli_determinism(tmp_path):
     pts = tmp_path / "pts.csv"
-    pts.write_text("0.25,0.1\n-0.3,0.44\n2.0,0.0\n")
+    pts.write_text(criterion12.POINTS)
     base = [sys.executable, "-m", "cantorqc"]
-    invocations = [
-        ["params", "--t", "1", "--K", "2", "--m", "19"],
-        ["disks", "--t", "1", "--K", "2", "--m", "7", "--N", "2", "--side", "image",
-         "--format", "csv"],
-        ["eval", "--points", str(pts), "--m", "19", "--depth", "24"],
-        ["eval", "--points", str(pts), "--m", "19", "--mode", "inverse"],
-        ["eval", "--points", str(pts), "--m", "19", "--mode", "jacobian"],
-        ["lp-mass", "--p", "1.5", "--m", "19", "--samples", "5000", "--depth", "4",
-         "--seed", "5"],
-        ["lp-mass", "--p", "1.5", "--m", "19", "--samples", "5000", "--depth", "4",
-         "--seed", "5", "--method", "uniform"],
-        ["dimension", "--side", "image", "--N", "4", "--m", "7", "--seed", "3"],
-        ["holder", "--t", "1", "--K", "2", "--m", "19", "--seed", "2"],
-        ["packing", "--N", "2", "--m", "7", "--trials", "60", "--seed", "4"],
-        ["growth", "--N", "3", "--m", "7", "--trials", "6", "--depth", "4",
-         "--samples", "400", "--seed", "6"],
-        ["cauchy", "--alpha", "0.5", "--K", "1", "--t", "1.6", "--N", "2", "--seed", "1"],
-        ["glue", "--t", "1", "--K", "2", "--hosts=-0.45,0.0,0.1;0.4,0.2,0.045",
-         "--piece-m", "7,19", "--points", str(pts)],
-    ]
+    invocations = criterion12.invocations(str(pts))
     for argv in invocations:
         runs = [
             subprocess.run(base + argv, capture_output=True, timeout=600)

@@ -107,6 +107,34 @@ def test_eval_malformed_line_reports_line_number(tmp_path):
     assert ":2:" in proc.stderr.decode()
 
 
+def test_eval_non_finite_point_named_by_file_line(tmp_path):
+    pts = tmp_path / "nan.csv"
+    rows = [f"{0.0001 * i!r},0.1" for i in range(8200)]
+    rows[8194] = "nan,0.1"
+    pts.write_text("\n".join(rows) + "\n")
+    proc = subprocess.run(
+        BASE + ["eval", "--points", str(pts), "--m", "7"], capture_output=True
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.decode()
+    assert f"{pts}:8195:" in err and "must be finite" in err and "point 2" not in err
+
+
+def test_glue_rejects_non_finite_point_off_hosts(tmp_path):
+    pts = tmp_path / "nan.csv"
+    pts.write_text("0.1,0.3\nnan,0.3\n")
+    proc = subprocess.run(
+        BASE + [
+            "glue", "--t", "1", "--K", "2",
+            "--hosts=-0.45,0.0,0.1", "--piece-m", "7", "--points", str(pts),
+        ],
+        capture_output=True,
+    )
+    assert proc.returncode == 2
+    assert f"{pts}:2:" in proc.stderr.decode()
+    assert proc.stdout == b""
+
+
 def test_lp_mass_p1_is_pi():
     proc = run_cli("lp-mass", "--p", "1", "--m", "100", "--t", "1", "--K", "2")
     payload = json.loads(proc.stdout)

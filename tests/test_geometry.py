@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from cantorqc import (
     Disk,
+    DiskPacking,
     EnumerationCapError,
+    PackingError,
     ParameterError,
     Similarity,
     build_packing,
@@ -76,6 +78,25 @@ class TestBuildPacking:
         pk.validate()
         assert pk.m == m
 
+    def test_overlap_found_two_apart_in_x_order(self):
+        # the closest pair (0.5 apart) has the third center between it in x
+        c = np.array([-0.25 - 0.45j, 0.05 + 0.45j, 0.25 - 0.45j])
+        with pytest.raises(PackingError, match=r"min center distance 0\.5 <= 2r = 0\.51"):
+            DiskPacking(c, 0.255).validate()
+
+    @pytest.mark.parametrize("digits", [1, None])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overlap_names_the_closest_pair(self, seed, digits):
+        # x rounded or not: the closest pair need not be adjacent in x order
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-0.5, 0.5, 40)
+        c = (x if digits is None else np.round(x, digits)) + 1j * rng.uniform(-0.5, 0.5, 40)
+        d = np.abs(c[:, None] - c[None, :]) + np.diag(np.full(40, np.inf))
+        gap = float(d.min())
+        with pytest.raises(PackingError, match=f"min center distance {gap:.6g} <= "):
+            DiskPacking(c, 0.51 * gap).validate()
+        DiskPacking(c, 0.49 * gap).validate()
+
     def test_deterministic(self):
         a, b = build_packing(37), build_packing(37)
         assert np.array_equal(a.centers, b.centers) and a.r == b.r
@@ -83,6 +104,56 @@ class TestBuildPacking:
     def test_rejects_m0(self):
         with pytest.raises(ParameterError):
             build_packing(0)
+
+
+def _dart_packing(count: int = 40, r: float = 0.05, seed: int = 5) -> DiskPacking:
+    """A packing off any lattice: seeded darts kept when clear of earlier disks."""
+    rng = np.random.default_rng(seed)
+    centers: list[complex] = []
+    while len(centers) < count:
+        z = complex(*rng.uniform(-0.9, 0.9, 2))
+        if abs(z) + r < 0.99 and all(abs(z - c) > 2.2 * r for c in centers):
+            centers.append(z)
+    packing = DiskPacking(np.array(centers), r)
+    packing.validate()
+    return packing
+
+
+def _lookup_points(packing: DiskPacking, seed: int) -> np.ndarray:
+    """Uniform points in [-3, 3]**2, points on the circles |z - c| = r and
+    sigma*r about every center, and points on the bisector of each pair of
+    neighbouring centers, where the nearest center is a near tie."""
+    rng = np.random.default_rng(seed)
+    c, r = packing.centers, packing.r
+    try:
+        sigma = derive_params(1.0, 2.0, packing).sigma
+    except ParameterError:
+        sigma = 0.5
+    uniform = rng.uniform(-3.0, 3.0, 3000) + 1j * rng.uniform(-3.0, 3.0, 3000)
+    turns = np.exp(2j * math.pi * rng.uniform(size=(c.size, 4)))
+    seams = [(c[:, None] + rho * turns).ravel() for rho in (r, sigma * r)]
+    i, j = np.nonzero(np.triu(np.abs(c[:, None] - c[None, :]) < 3.0 * r, k=1))
+    offsets = 1j * (c[j] - c[i])[:, None] * rng.uniform(-1.0, 1.0, (i.size, 3))
+    bisectors = ((c[i] + c[j])[:, None] / 2.0 + offsets).ravel()
+    return np.concatenate([uniform, *seams, bisectors])
+
+
+class TestNearestCenter:
+    """Batch and scalar lookups against brute force: same index, same bits."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 13, 19, 37, 100, 217, 469, "darts"])
+    def test_matches_brute_force(self, m):
+        packing = _dart_packing() if m == "darts" else build_packing(m)
+        pts = _lookup_points(packing, seed=len(packing.centers))
+        ref = np.argmin(np.abs(pts[:, None] - packing.centers[None, :]), axis=1)
+        ref_dist = np.abs(pts - packing.centers[ref])
+        idx, dist = packing.nearest_center(pts)
+        assert np.array_equal(idx, ref) and np.array_equal(dist, ref_dist)
+        for z, i, d in zip(pts.tolist(), ref.tolist(), ref_dist.tolist()):
+            assert packing._nearest_one(z) == (i, d)
+        grid_idx, grid_dist = packing.nearest_center(pts[:1200].reshape(30, 40))
+        assert np.array_equal(grid_idx.ravel(), ref[:1200])
+        assert np.array_equal(grid_dist.ravel(), ref_dist[:1200])
 
 
 class TestDeriveParams:

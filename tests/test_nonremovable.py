@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from cantorqc import (
     DiscreteMeasure,
@@ -123,6 +124,68 @@ class TestFrostmanMeasure:
             replace(mu, ifs=ImageIFS(params7.packing.centers, params7.image_ratio, 3))
         with pytest.raises(ParameterError, match="equal atom weights"):
             replace(mu, weights=np.linspace(0.5, 1.5, mu.count))
+
+
+@pytest.fixture(scope="module")
+def tree_measures(params7):
+    """The criterion-11 measure (217**2 atoms, one level above its leaves)
+    and 7**5 atoms (two levels)."""
+    crit11 = build_counterexample(0.5, 2.0, 1.9, N=2, depth_max=40, seed=0).measure
+    return {"criterion-11": crit11, "m7-N5": frostman_measure(params7, 5)}
+
+
+def _kd_tree(mu):
+    return cKDTree(np.column_stack([mu.positions.real, mu.positions.imag]))
+
+
+class TestAtomQueries:
+    """IFS-tree atom queries against a KD-tree over the enumerated atoms."""
+
+    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5"])
+    def test_nearest_atom_distance_bitwise(self, tree_measures, name):
+        mu = tree_measures[name]
+        rng = np.random.default_rng(31)
+        far = 3.0 * np.exp(2j * math.pi * rng.uniform(size=200))
+        zs = np.concatenate([_seeded_points(mu, 31, 3000, 1000, 100), mu.positions[::97], far])
+        ref, _ = _kd_tree(mu).query(np.column_stack([zs.real, zs.imag]))
+        assert np.array_equal(mu.nearest_atom_distance(zs), ref)
+
+    def test_nearest_atom_distance_direct_paths(self, params7):
+        small = frostman_measure(params7, 2)
+        plain = replace(frostman_measure(params7, 4), ifs=None)
+        for mu in (small, plain):
+            zs = _seeded_points(mu, 32, 500, 200, 20)
+            ref, _ = _kd_tree(mu).query(np.column_stack([zs.real, zs.imag]))
+            assert np.array_equal(mu.nearest_atom_distance(zs), ref)
+
+    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5"])
+    def test_growth_ratio_counts(self, tree_measures, name):
+        mu = tree_measures[name]
+        rng = np.random.default_rng(33)
+        centers = np.concatenate([
+            mu.positions[rng.choice(mu.count, 150, replace=False)],
+            rng.uniform(-1.1, 1.1, 150) + 1j * rng.uniform(-1.1, 1.1, 150),
+        ])
+        tree, weight = _kd_tree(mu), float(mu.weights[0])
+        pts = np.column_stack([centers.real, centers.imag])
+        for rho in np.geomspace(mu.resolution, 2.0, 12):
+            counts = tree.query_ball_point(pts, rho, return_length=True)
+            expected = float(counts.max()) * weight / rho**mu.growth_exponent
+            assert mu.growth_ratio(centers, np.array([rho])) == expected
+
+    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5"])
+    def test_ball_mass_at_atom_distances(self, tree_measures, name):
+        # radii equal to an atom's distance and one ulp either side
+        mu = tree_measures[name]
+        rng = np.random.default_rng(34)
+        tree = _kd_tree(mu)
+        for center in (complex(mu.positions[17]) + 0.0123, 0.05 - 0.2j, 0j):
+            dx, dy = mu.positions.real - center.real, mu.positions.imag - center.imag
+            for rho in np.sqrt(dx * dx + dy * dy)[rng.choice(mu.count, 25, replace=False)]:
+                for radius in (np.nextafter(rho, 0.0), rho, np.nextafter(rho, 9.0)):
+                    inside = tree.query_ball_point([center.real, center.imag], radius)
+                    expected = float(mu.weights[inside].sum())
+                    assert mu.ball_mass(center, float(radius)) == expected
 
 
 class TestCauchyTransform:

@@ -439,6 +439,20 @@ class TestGluedMap:
                 assert abs(res.value - expected) < 1e-14
                 assert res.err_bound == pytest.approx(host.radius * ref.err_bound)
 
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.3), complex(0.1, math.inf)])
+    def test_rejects_non_finite_point(self, bad):
+        # a non-finite point lies on no host, so only an up-front check sees it
+        with pytest.raises(ParameterError, match="must be finite"):
+            glued_map(bad, self._two_piece_spec())
+
+    @pytest.mark.parametrize("z", [0.1 + 0.0j, -0.45 + 0.0j], ids=["off-host", "on-host"])
+    def test_rejects_bad_depth_wherever_the_point_lies(self, z):
+        spec = self._two_piece_spec()
+        with pytest.raises(ParameterError, match="depth_max must be >= 1"):
+            glued_map(z, spec, depth_max=0)
+        with pytest.raises(ParameterError, match="underflows"):
+            glued_map(z, spec, depth_max=2000)
+
     def test_holder_constants_below_one(self):
         spec = self._two_piece_spec()
         assert all(c < 1.0 for c in spec.holder_constants())
