@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -39,6 +42,31 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+@contextlib.contextmanager
+def _sink(out_path: str | None):
+    """Stdout, or a temporary file beside ``out_path`` that replaces it only
+    when the block succeeds, so a rejected input leaves the path untouched."""
+    if not out_path:
+        yield sys.stdout
+        return
+    folder, name = os.path.split(os.path.abspath(out_path))
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder)
+    except OSError as exc:
+        # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, out_path) from None
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, out_path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -64,11 +92,13 @@ def _with_params(cmd):
     return run
 
 
-def _add_common(parser: argparse.ArgumentParser, *, seed: bool = True) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, *, seed: bool = True, out_help: str = "output path (default stdout)"
+) -> None:
     parser.add_argument("--t", type=float, default=1.0, help="source dimension in (0, 2)")
     parser.add_argument("--K", type=float, default=2.0, help="distortion, K >= 1")
     parser.add_argument("--m", type=int, default=100, help="number of first-generation disks")
-    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    parser.add_argument("--out", type=str, default=None, help=out_help)
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
@@ -144,8 +174,7 @@ def _read_points(path: str) -> np.ndarray:
 @_with_params
 def cmd_eval(args: argparse.Namespace, params: ConstructionParams) -> None:
     # streaming: bounded chunks in, lines straight out
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with _sink(args.out) as sink:
         if args.mode == "jacobian":
             sink.write("re,im,jacobian\n")
             for pts in _iter_point_chunks(args.points):
@@ -162,9 +191,6 @@ def cmd_eval(args: argparse.Namespace, params: ConstructionParams) -> None:
                         f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},"
                         f"{float(v.imag)!r},{int(d)},{float(e)!r}\n"
                     )
-    finally:
-        if args.out:
-            sink.close()
 
 
 @_with_params
@@ -314,7 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_disks)
 
     p = sub.add_parser("eval", help="batch-evaluate the map on a points file")
-    _add_common(p, seed=False)
+    _add_common(
+        p,
+        seed=False,
+        out_help="output path (default stdout); the table is written whole or not at all, "
+        "while stdout already holds the rows streamed before a rejected line",
+    )
     p.add_argument("--points", type=str, required=True, help="CSV file of re,im per line")
     p.add_argument("--mode", choices=("phi", "inverse", "jacobian"), default="phi")
     p.add_argument("--depth", type=int, default=32)

@@ -56,10 +56,6 @@ class Disk:
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ParameterError(f"disk radius must be positive and finite, got {self.radius}")
 
-    def contains(self, z: complex, closed: bool = False) -> bool:
-        d = abs(z - self.center)
-        return d <= self.radius if closed else d < self.radius
-
 
 @dataclass(frozen=True)
 class Similarity:
@@ -91,9 +87,6 @@ class Similarity:
     @property
     def scale(self) -> float:
         return abs(self.b)
-
-    def map_disk(self, disk: Disk) -> Disk:
-        return Disk(self(disk.center), self.scale * disk.radius)
 
     @property
     def unit_disk_image(self) -> Disk:
@@ -135,24 +128,29 @@ class DiskPacking:
 
     @cached_property
     def _grid(self) -> "_CellGrid":
-        return _CellGrid.build(self.centers, self.r)
+        return _CellGrid.build(self.centers, self.r, refine=True)
 
     def nearest_center(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Index of the closest packing center per point, and that distance.
 
         Closed disks are disjoint, so the only disk that can contain a point
         is the one with the nearest center.  The index is exactly
-        ``argmin(np.abs(pts - centers))`` (first index on ties): small packings
-        search every center, larger ones only the candidate list of the
-        point's grid cell (see :class:`_CellGrid`).
+        ``argmin(np.abs(pts - centers))`` (first index on ties), for every
+        ``m``: a point whose grid cell has one owner takes it from a table
+        read, any other searches its cell's candidate list, and a point
+        outside the grid searches every center (see :class:`_CellGrid`).
         """
         pts = np.asarray(pts, dtype=np.complex128)
-        if self.m <= _BRUTE_FORCE_MAX:
-            idx = _brute_nearest(pts, self.centers)
-        else:
-            idx = self._grid.nearest(pts.ravel()).reshape(pts.shape)
-        dist = np.abs(pts - self.centers[idx])
-        return idx, dist
+        flat = pts.ravel()
+        idx = np.empty(flat.size, dtype=np.intp)
+        dist = np.empty(flat.size)
+        # block by block, so that a large batch allocates no temporary of its size
+        for start in range(0, flat.size, _PAIRS):
+            p = flat[start : start + _PAIRS]
+            i = self._grid.nearest(p)
+            idx[start : start + _PAIRS] = i
+            np.abs(p - self.centers.take(i), out=dist[start : start + _PAIRS])
+        return idx.reshape(pts.shape), dist.reshape(pts.shape)
 
     def _nearest_one(self, z: complex) -> tuple[int, float]:
         """Scalar :meth:`nearest_center` in plain Python: same index and distance."""
@@ -161,9 +159,13 @@ class DiskPacking:
         if not (0.0 <= fx < grid.nx and 0.0 <= fy < grid.ny):
             idx, dist = self.nearest_center(np.array([z]))
             return int(idx[0]), float(dist[0])
-        best, near, points = math.inf, [], grid.points
+        cell = int(fx) * grid.ny + int(fy)
+        points, j = grid.points, grid.owners.item(cell)
+        if j >= 0:
+            return j, float(np.abs(np.complex128(z - points[j])))
+        best, near = math.inf, []
         # padding reads the sentinel at infinity, which is never near
-        for j in grid.table[int(fx) * grid.ny + int(fy)].tolist():
+        for j in grid.table[cell].tolist():
             c = points[j]
             dx, dy = z.real - c.real, z.imag - c.imag
             d2 = dx * dx + dy * dy
@@ -211,9 +213,11 @@ class DiskPacking:
         }
 
 
-#: Packings of at most this many disks are searched by brute force; larger
-#: ones through :class:`_CellGrid`, which is faster from here on.
-_BRUTE_FORCE_MAX = 9
+#: Side ratio of consecutive grid levels.  A packing's lookup grid is this
+#: many times finer than its radius, so most of its cells lie inside one
+#: Voronoi cell and have an owner; every grid's rows are drawn from those of
+#: coarser levels, each this many times coarser than the next.
+_REFINE = 4
 
 #: Relative widening of every grid cell and candidate bound, far above the
 #: rounding of the distances compared, so no possible nearest center is dropped.
@@ -222,7 +226,8 @@ _GRID_SLACK = 1e-9
 _TIE_RTOL = 1e-12
 #: Grid cells per center, at most: bounds the table of sparse packings.
 _CELLS_PER_CENTER = 8
-#: Point-candidate pairs held at once by a lookup: a few hundred kB of temporaries.
+#: Point-candidate pairs, or points of a block, held at once by a lookup: a
+#: few hundred kB of temporaries.
 _PAIRS = 1 << 13
 
 
@@ -237,6 +242,55 @@ def _brute_nearest(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return idx.reshape(pts.shape)
 
 
+def _rows(
+    padded: np.ndarray,
+    level: tuple[float, float, float, int, int],
+    pad: float,
+    reach: float,
+    cand: np.ndarray,
+    parent_ny: int = 0,
+) -> np.ndarray:
+    """Candidate table of the ``nx*ny`` cells of side ``h`` from ``(x0, y0)``,
+    ``level = (x0, y0, h, nx, ny)``, each widened by ``pad + _GRID_SLACK*h``.
+
+    With ``parent_ny``, ``cand`` is the table of the grid ``_REFINE`` times
+    coarser from the same corner, ``parent_ny`` cells high, and cell
+    ``(ix, iy)`` searches the row of its parent ``(ix//_REFINE, iy//_REFINE)``;
+    without, every cell searches the one row of ``cand``.  Every row lists
+    its centers in increasing order, padded with the sentinel index ``m``.
+    """
+    x0, y0, h, nx, ny = level
+    m = padded.size - 1
+    x, y = np.ascontiguousarray(padded.real), np.ascontiguousarray(padded.imag)
+    half = h / 2.0 + pad + _GRID_SLACK * h
+    # a row is never wider than the rows it is drawn from
+    table = np.full((nx * ny, cand.shape[1]), m, dtype=np.int32)
+    width = 1
+    step = max(1, _PAIRS // cand.shape[1])
+    for start in range(0, nx * ny, step):
+        ix, iy = np.divmod(np.arange(start, min(start + step, nx * ny)), ny)
+        # one column per cell, so that reductions over a row run down columns
+        if parent_ny:
+            row = np.ascontiguousarray(cand.take(ix // _REFINE * parent_ny + iy // _REFINE, axis=0).T)
+        else:
+            row = np.broadcast_to(cand.T, (cand.shape[1], ix.size))
+        ax = np.abs(x.take(row) - (x0 + h * (ix + 0.5)))
+        ay = np.abs(y.take(row) - (y0 + h * (iy + 0.5)))
+        far = (ax + half) ** 2 + (ay + half) ** 2
+        bound = (np.sqrt(far.min(axis=0)) + reach) * (1.0 + _GRID_SLACK)
+        ax -= half
+        ay -= half
+        np.maximum(ax, 0.0, out=ax)
+        np.maximum(ay, 0.0, out=ay)
+        listed = ax * ax + ay * ay <= bound * bound
+        # a listed center's place in its row: how many are listed up to it
+        place = np.cumsum(listed, axis=0)
+        width = max(width, int(place[-1].max()))
+        col, cell = np.nonzero(listed)
+        table[start + cell, place[col, cell] - 1] = row[col, cell]
+    return np.ascontiguousarray(table[:, :width])
+
+
 @dataclass(frozen=True, eq=False)
 class _CellGrid:
     """Uniform grid over a box holding every center, and ``[-extent, extent]**2``.
@@ -246,6 +300,10 @@ class _CellGrid:
     no other center can be the nearest to a point of cell ``c``.  Rows are
     padded with index ``m``, the sentinel at infinity that ends ``padded``.
     Points outside the box are searched by brute force.
+
+    A cell whose row lists one center is owned by it: ``owners`` holds that
+    center per cell, or ``-2 - cell`` where the row lists several, then a
+    last entry -1, which a point outside the box (cell -1) reads.
     """
 
     x0: float
@@ -255,6 +313,7 @@ class _CellGrid:
     ny: int
     table: np.ndarray
     padded: np.ndarray
+    owners: np.ndarray
 
     @classmethod
     def build(
@@ -264,37 +323,32 @@ class _CellGrid:
         reach: float = 0.0,
         extent: float = 1.0,
         pad: float = 0.0,
+        refine: bool = False,
     ) -> "_CellGrid":
         """Grid of cell side at least ``h``, and at most ``_CELLS_PER_CENTER * m``
-        cells; each cell's rows also serve the points within ``pad`` of it."""
+        cells, each split into ``_REFINE**2`` with ``refine``; each cell's rows
+        also serve the points within ``pad`` of it."""
         x, y = centers.real, centers.imag
         x0, x1 = min(-extent, float(x.min())), max(extent, float(x.max()))
         y0, y1 = min(-extent, float(y.min())), max(extent, float(y.max()))
         h = max(h, math.sqrt((x1 - x0) * (y1 - y0) / (_CELLS_PER_CENTER * centers.size)))
         nx, ny = math.ceil((x1 - x0) / h), math.ceil((y1 - y0) / h)
-        half = h / 2.0 + pad + _GRID_SLACK * h
-        ix, iy = np.divmod(np.arange(nx * ny), ny)
-        mid_x, mid_y = x0 + h * (ix + 0.5), y0 + h * (iy + 0.5)
-        cells, members = [], []
-        step = max(1, _PAIRS // centers.size)
-        for start in range(0, nx * ny, step):
-            ax = np.abs(x - mid_x[start : start + step, None])
-            ay = np.abs(y - mid_y[start : start + step, None])
-            far = (ax + half) ** 2 + (ay + half) ** 2
-            bound = (np.sqrt(far.min(axis=1)) + reach) * (1.0 + _GRID_SLACK)
-            ax -= half
-            ay -= half
-            np.maximum(ax, 0.0, out=ax)
-            np.maximum(ay, 0.0, out=ay)
-            cell, member = np.nonzero(ax * ax + ay * ay <= (bound * bound)[:, None])
-            cells.append(cell + start)
-            members.append(member)
-        cell, member = np.concatenate(cells), np.concatenate(members)
-        counts = np.bincount(cell, minlength=nx * ny)
-        table = np.full((nx * ny, counts.max()), centers.size, dtype=np.int32)
-        table[cell, np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)] = member
+        levels = [(h / _REFINE, nx * _REFINE, ny * _REFINE)] if refine else []
+        levels.append((h, nx, ny))
+        while 1 < nx * ny and _PAIRS < nx * ny * centers.size:
+            h, nx, ny = h * _REFINE, -(-nx // _REFINE), -(-ny // _REFINE)
+            levels.append((h, nx, ny))
+        # only the coarsest level searches every center; below it, a cell lies
+        # in its parent, so it is nearer to every center and its bound is no
+        # larger: the parent's row holds its row
         padded = np.append(centers, complex(math.inf, math.inf))
-        return cls(x0, y0, h, nx, ny, table, padded)
+        table, parent_ny = np.arange(centers.size)[None, :], 0
+        for h, nx, ny in reversed(levels):
+            table = _rows(padded, (x0, y0, h, nx, ny), pad, reach, table, parent_ny)
+            parent_ny = ny
+        owned = np.count_nonzero(table < centers.size, axis=1) == 1
+        owners = np.append(np.where(owned, table[:, 0], -2 - np.arange(owned.size)), -1)
+        return cls(x0, y0, h, nx, ny, table, padded, owners.astype(np.int32))
 
     @cached_property
     def points(self) -> list[complex]:
@@ -329,14 +383,17 @@ class _CellGrid:
 
     def nearest(self, pts: np.ndarray) -> np.ndarray:
         """``argmin(np.abs(pts - centers))`` per point of the flat ``pts``."""
-        cells = self.cells(pts)
-        idx = np.empty(pts.size, dtype=np.intp)
+        # an owned cell answers at once; any other leaves -2 - cell behind
+        idx = self.cells(pts)
+        idx[:] = self.owners.take(idx)
+        rest = np.flatnonzero(idx < 0)
         width = self.table.shape[1]
         step = max(1, _PAIRS // width)
-        for start in range(0, pts.size, step):
-            p, cell = pts[start : start + step], cells[start : start + step]
-            cand = self.table[cell]
-            c = self.padded[cand]
+        for start in range(0, rest.size, step):
+            at = rest[start : start + step]
+            p, cell = pts.take(at), -2 - idx.take(at)
+            cand = self.table.take(cell, axis=0)
+            c = self.padded.take(cand)
             d2 = p.real[:, None] - c.real
             dy = p.imag[:, None] - c.imag
             d2 *= d2
@@ -350,11 +407,11 @@ class _CellGrid:
                 tied = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
                 best[tied] = np.argmin(np.abs(p[tied, None] - c[tied]), axis=1)
                 flat[tied] = best[tied] + tied * width
-            idx[start : start + step] = cand.ravel().take(flat)
+            idx[at] = cand.ravel().take(flat)
             # cell -1 read the last row: search every center instead
             out = np.flatnonzero(cell < 0)
             if out.size:
-                idx[start + out] = _brute_nearest(p[out], self.padded[:-1])
+                idx[at[out]] = _brute_nearest(p[out], self.padded[:-1])
         return idx
 
 

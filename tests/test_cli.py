@@ -120,6 +120,29 @@ def test_eval_non_finite_point_named_by_file_line(tmp_path):
     assert f"{pts}:8195:" in err and "must be finite" in err and "point 2" not in err
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_eval_rejected_input_leaves_out_untouched(tmp_path, existing):
+    # the rejected line comes after the first 8,192-point chunk was written
+    pts = tmp_path / "nan.csv"
+    rows = [f"{0.0001 * i!r},0.1" for i in range(8200)]
+    rows[8194] = "nan,0.1"
+    pts.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out.csv"
+    before = b"re,im,phi_re,phi_im,depth,err_bound\n0.5,0.5,0.5,0.5,0,0.0\n"
+    if existing:
+        out.write_bytes(before)
+    listing = sorted(tmp_path.iterdir())
+    proc = subprocess.run(
+        BASE + ["eval", "--points", str(pts), "--m", "7", "--out", str(out)],
+        capture_output=True,
+    )
+    assert proc.returncode == 2
+    assert ":8195:" in proc.stderr.decode()
+    assert sorted(tmp_path.iterdir()) == listing
+    if existing:
+        assert out.read_bytes() == before
+
+
 def test_glue_rejects_non_finite_point_off_hosts(tmp_path):
     pts = tmp_path / "nan.csv"
     pts.write_text("0.1,0.3\nnan,0.3\n")

@@ -19,6 +19,7 @@ from cantorqc import (
     image_map,
     source_map,
 )
+from cantorqc.geometry import _REFINE, _CellGrid, _rows
 from descent import descents
 
 finite_complex = st.builds(
@@ -141,7 +142,9 @@ def _lookup_points(packing: DiskPacking, seed: int) -> np.ndarray:
 class TestNearestCenter:
     """Batch and scalar lookups against brute force: same index, same bits."""
 
-    @pytest.mark.parametrize("m", [1, 2, 7, 13, 19, 37, 100, 217, 469, "darts"])
+    @pytest.mark.parametrize(
+        "m", [1, 2, 7, 13, 19, 37, 100, 217, 469, "darts", 3, 4, 5, 6, 8, 9]
+    )
     def test_matches_brute_force(self, m):
         packing = _dart_packing() if m == "darts" else build_packing(m)
         pts = _lookup_points(packing, seed=len(packing.centers))
@@ -154,6 +157,61 @@ class TestNearestCenter:
         grid_idx, grid_dist = packing.nearest_center(pts[:1200].reshape(30, 40))
         assert np.array_equal(grid_idx.ravel(), ref[:1200])
         assert np.array_equal(grid_dist.ravel(), ref_dist[:1200])
+
+
+def _brute(packing: DiskPacking, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``argmin(np.abs(pts - centers))`` and its distance, a few thousand points at a time."""
+    idx = np.concatenate([
+        np.argmin(np.abs(part[:, None] - packing.centers[None, :]), axis=1)
+        for part in np.array_split(pts, -(-pts.size // 4096))
+    ])
+    return idx, np.abs(pts - packing.centers[idx])
+
+
+class TestRefinedGrid:
+    """The refined lookup table against a full search at the fine side."""
+
+    @pytest.mark.parametrize("m", [7, 100, 217, "darts"])
+    def test_rows_match_full_search(self, m):
+        packing = _dart_packing() if m == "darts" else build_packing(m)
+        grid = packing._grid
+        coarse = _CellGrid.build(packing.centers, packing.r)
+        assert (grid.nx, grid.ny) == (coarse.nx * _REFINE, coarse.ny * _REFINE)
+        assert grid.h == coarse.h / _REFINE
+        every = np.arange(packing.m)[None, :]
+        full = _rows(grid.padded, (grid.x0, grid.y0, grid.h, grid.nx, grid.ny), 0.0, 0.0, every)
+        assert np.array_equal(grid.table, full)
+
+    @pytest.mark.parametrize("m", [7, 100, 217, "darts"])
+    def test_owner_is_nearest_on_the_closed_cell(self, m):
+        packing = _dart_packing() if m == "darts" else build_packing(m)
+        grid = packing._grid
+        owned = np.flatnonzero(grid.owners[:-1] >= 0)
+        assert 0 < owned.size < grid.owners.size - 1
+        ix, iy = np.divmod(owned, grid.ny)
+        for dx, dy in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)]:
+            pts = (grid.x0 + grid.h * (ix + dx)) + 1j * (grid.y0 + grid.h * (iy + dy))
+            assert np.array_equal(grid.owners[owned], _brute(packing, pts)[0])
+
+    @pytest.mark.parametrize("m", [7, 100, 217, "darts"])
+    def test_points_on_cell_edges(self, m):
+        packing = _dart_packing() if m == "darts" else build_packing(m)
+        grid = packing._grid
+        rng = np.random.default_rng(grid.nx)
+        lines = []
+        for origin, count in ((grid.x0, grid.nx), (grid.y0, grid.ny)):
+            edges = origin + grid.h * np.arange(count + 1)
+            lines.append(np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)]))
+        span = grid.h * max(grid.nx, grid.ny)
+        xs = lines[0] + 1j * rng.uniform(grid.y0, grid.y0 + span, lines[0].size)
+        ys = rng.uniform(grid.x0, grid.x0 + span, lines[1].size) + 1j * lines[1]
+        corners = (lines[0][:, None] + 1j * lines[1][None, :]).ravel()
+        pts = np.concatenate([xs, ys, corners[:: max(1, corners.size // 20000)]])
+        ref, ref_dist = _brute(packing, pts)
+        idx, dist = packing.nearest_center(pts)
+        assert np.array_equal(idx, ref) and np.array_equal(dist, ref_dist)
+        for z, i, d in zip(pts.tolist(), ref.tolist(), ref_dist.tolist()):
+            assert packing._nearest_one(z) == (i, d)
 
 
 class TestDeriveParams:
