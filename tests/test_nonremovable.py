@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -128,10 +129,16 @@ class TestFrostmanMeasure:
 
 @pytest.fixture(scope="module")
 def tree_measures(params7):
-    """The criterion-11 measure (217**2 atoms, one level above its leaves)
-    and 7**5 atoms (two levels)."""
+    """The criterion-11 measure (217**2 atoms, one level above its leaves),
+    7**5 atoms (two levels), and two measures searched as one leaf: 7**2
+    atoms, at most LEAF, and 7**4 atoms without their IFS."""
     crit11 = build_counterexample(0.5, 2.0, 1.9, N=2, depth_max=40, seed=0).measure
-    return {"criterion-11": crit11, "m7-N5": frostman_measure(params7, 5)}
+    return {
+        "criterion-11": crit11,
+        "m7-N5": frostman_measure(params7, 5),
+        "small": frostman_measure(params7, 2),
+        "plain": replace(frostman_measure(params7, 4), ifs=None),
+    }
 
 
 def _kd_tree(mu):
@@ -158,12 +165,12 @@ class TestAtomQueries:
             ref, _ = _kd_tree(mu).query(np.column_stack([zs.real, zs.imag]))
             assert np.array_equal(mu.nearest_atom_distance(zs), ref)
 
-    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5"])
+    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5", "small", "plain"])
     def test_growth_ratio_counts(self, tree_measures, name):
         mu = tree_measures[name]
         rng = np.random.default_rng(33)
         centers = np.concatenate([
-            mu.positions[rng.choice(mu.count, 150, replace=False)],
+            mu.positions[rng.choice(mu.count, min(150, mu.count), replace=False)],
             rng.uniform(-1.1, 1.1, 150) + 1j * rng.uniform(-1.1, 1.1, 150),
         ])
         tree, weight = _kd_tree(mu), float(mu.weights[0])
@@ -173,7 +180,7 @@ class TestAtomQueries:
             expected = float(counts.max()) * weight / rho**mu.growth_exponent
             assert mu.growth_ratio(centers, np.array([rho])) == expected
 
-    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5"])
+    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5", "small", "plain"])
     def test_ball_mass_at_atom_distances(self, tree_measures, name):
         # radii equal to an atom's distance and one ulp either side
         mu = tree_measures[name]
@@ -186,6 +193,47 @@ class TestAtomQueries:
                     inside = tree.query_ball_point([center.real, center.imag], radius)
                     expected = float(mu.weights[inside].sum())
                     assert mu.ball_mass(center, float(radius)) == expected
+
+
+#: SHA-256 of each query's outputs over the four ``tree_measures`` at seeded
+#: points, so that a rewrite of the tree walks must reproduce every bit; the
+#: comparison with the direct sum above allows 256u.  Captured with NumPy
+#: 2.4.6 on x86-64: a digest that breaks after a NumPy or CPU change, with the
+#: queries unchanged, is recaptured, not mended.
+QUERY_DIGESTS = {
+    "ball_mass": "a66103d6503ac47e2710f86ad0633029754ef6e02cb4975dea95292b42487f69",
+    "cauchy_transform_batch": "e8baccd3922d54fec976c67f8c96a362d1393514bf8fc29910ed8f50068abcbf",
+    "growth_ratio": "00055c3afc56d8aa9b0b91b42d68158f2566fd0ffff293b22df07e3ff189af48",
+    "nearest_atom_distance": "5c7868b50d828f16c48415ff5c71c76e46ba910714e519bb0365309c30536257",
+}
+
+
+def _query_outputs(mu, query):
+    radii = np.geomspace(mu.resolution, 2.0, 12)
+    if query == "cauchy_transform_batch":
+        return cauchy_transform_batch(mu, _seeded_points(mu, 41, 400, 150, 25))
+    if query == "nearest_atom_distance":
+        return [mu.nearest_atom_distance(_seeded_points(mu, 42, 400, 150, 25))]
+    if query == "growth_ratio":
+        rng = np.random.default_rng(43)
+        centers = np.concatenate([
+            mu.positions[rng.choice(mu.count, min(150, mu.count), replace=False)],
+            rng.uniform(-1.1, 1.1, 150) + 1j * rng.uniform(-1.1, 1.1, 150),
+        ])
+        return [np.array([mu.growth_ratio(centers, np.array([rho])) for rho in radii])]
+    centers = (complex(mu.positions[17]) + 0.0123, 0.05 - 0.2j, 0j)
+    return [np.array([mu.ball_mass(c, float(rho)) for c in centers for rho in radii])]
+
+
+@pytest.mark.parametrize("query", sorted(QUERY_DIGESTS))
+def test_query_digest(tree_measures, query):
+    h = hashlib.sha256()
+    for name in ("criterion-11", "m7-N5", "small", "plain"):
+        for a in _query_outputs(tree_measures[name], query):
+            a = np.ascontiguousarray(a)
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+    assert h.hexdigest() == QUERY_DIGESTS[query]
 
 
 class TestCauchyTransform:
