@@ -14,22 +14,25 @@ self-similar measure discretized at generation ``N``; its growth is
 certified only down to the generation disk radius (the scale floor carried
 in every report).
 
-The transform of such a measure is evaluated by a tree code over the image
-IFS (Barnes & Hut 1986; Greengard & Rokhlin 1987).  Generation-``N`` atoms
-obey ``G_k(u) = sum_j G_{k-1}((u - c_j)/s) / s`` with ``G_0(u) = 1/u``, so a
-cluster of ``m**k`` atoms and radius ``R_k`` seen from ``|u| >= R_k/THETA`` is
-summed by its Laurent series ``sum_{n<=P} mu_n u**-(n+1)``, whose moments
-follow from the centres alone by a binomial recursion (computed on first use
-and cached with the measure).  Each far cluster is summed to an order ``n``
-whose truncation bound ``ratio**(n+1)/(1 - ratio)``, ``ratio = R_k/|u|``, is
-at most ``2**-53`` relative to the cluster's mass over ``|u|``: below the
-rounding of the direct sum itself.  Near clusters recurse; near clusters of
-at most :data:`LEAF` atoms, whole measures of at most :data:`LEAF` atoms and
-measures without an IFS are summed directly as ``weights/(z - positions)``.
-Atoms are still enumerated.  The near-atom flags and the growth certificate
-descend the same tree: a query keeps only the clusters whose disk, widened
-far beyond rounding, can still hold an answer, and compares atoms exactly
-as a KD-tree would, by ``dx*dx + dy*dy``, only inside the leaves left.
+The transform, the near-atom flags and the growth certificate are three
+rules of one walk down the tree of the image IFS (Barnes & Hut 1986).  The
+walk opens a frontier of (point, cluster) pairs level by level; at each
+level a rule finishes the pairs it can, and it visits the atoms of the
+leaves left one by one.  For the transform (Greengard & Rokhlin 1987),
+generation-``N`` atoms obey ``G_k(u) = sum_j G_{k-1}((u - c_j)/s) / s`` with
+``G_0(u) = 1/u``, so a cluster of ``m**k`` atoms and radius ``R_k`` seen from
+``|u| >= R_k/THETA`` is summed by its Laurent series ``sum_{n<=P} mu_n u**-(n+1)``,
+whose moments follow from the centres alone by a binomial recursion
+(computed on first use and cached with the measure), to an order ``n`` whose
+truncation bound ``ratio**(n+1)/(1 - ratio)``, ``ratio = R_k/|u|``, is at most
+``2**-53`` relative to the cluster's mass over ``|u|``: below the rounding of
+the direct sum itself.  The ball counts take a cluster wholly inside a ball
+at once and drop one wholly outside; the nearest-atom search drops a
+cluster beyond the distance of a first, greedy atom.  Both widen cluster
+disks far beyond rounding and compare atoms as a KD-tree would, by
+``dx*dx + dy*dy``.  Leaves hold at most :data:`LEAF` atoms; a measure without
+an IFS, or of at most :data:`LEAF` atoms, is one leaf.  Atoms are still
+enumerated.
 """
 
 from __future__ import annotations
@@ -121,15 +124,21 @@ def _leaf_levels(m: int) -> int:
     return levels
 
 
-def _open(ifs: "ImageIFS", d: int, pt: np.ndarray, node: np.ndarray, centre: np.ndarray):
-    """The ``m`` depth-``d+1`` children of each (point, depth-``d`` cluster) pair;
-    ``node`` numbers clusters in atom order, ``centre`` is the cluster's image of 0."""
-    m = ifs.m
-    return (
-        np.repeat(pt, m),
-        (node[:, None] * m + np.arange(m)).ravel(),
-        (centre[:, None] + ifs.ratio**d * ifs.centers[None, :]).ravel(),
-    )
+def _open(ifs: "ImageIFS", d: int, zs: np.ndarray, pt: np.ndarray, node: np.ndarray,
+          centre: np.ndarray, grid: _CellGrid | None):
+    """The depth-``d+1`` children of each (point, depth-``d`` cluster) pair: all
+    ``m`` of them, or those ``grid`` lists for the point's cell in the cluster's
+    frame.  ``pt`` indexes ``zs``, ``node`` numbers clusters in atom order and
+    ``centre`` is the cluster's image of 0."""
+    m, scale = ifs.m, ifs.ratio**d
+    if grid is None:
+        return (
+            np.repeat(pt, m),
+            (node[:, None] * m + np.arange(m)).ravel(),
+            (centre[:, None] + scale * ifs.centers[None, :]).ravel(),
+        )
+    pair, j = grid.candidates(_frame_cells(grid, (zs[pt] - centre) / scale, scale))
+    return pt[pair], node[pair] * m + j, centre[pair] + scale * ifs.centers[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +235,8 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", weights)
         if positions.shape != weights.shape:
             raise ParameterError("positions and weights must have matching shapes")
+        if positions.size == 0:
+            raise ParameterError("a measure needs at least one atom")
         if not (weights > 0).all():
             raise ParameterError("all atom weights must be positive")
         if self.ifs is not None:
@@ -245,59 +256,74 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def _ball_counts(self, centers: np.ndarray, radius: float) -> np.ndarray:
-        """Atoms in each closed ball ``B(center, radius)``, by the KD-tree test
-        ``dx*dx + dy*dy <= radius*radius``.
+    def _walk(self, zs: np.ndarray, finish, leaf, levels: int | None = None,
+              grid: _CellGrid | None = None) -> None:
+        """Walk the IFS tree for the points of the flat ``zs``, in chunks whose
+        first opening holds at most :data:`_PAIRS` pairs.
 
-        Down the IFS tree a cluster wholly inside a ball is counted at once and
-        one wholly outside is skipped; the atoms of the leaves left, of at most
-        :data:`LEAF` atoms, are tested one by one.
+        At each depth down to the leaves, clusters of ``m**levels`` atoms (by
+        default the largest of at most :data:`LEAF`), ``finish(d, pt, node,
+        centre)`` settles the (point, cluster) pairs it can and returns the
+        mask of those left, which :func:`_open` opens, through ``grid`` if
+        given.  ``leaf(pt, atoms)`` takes the pairs left at the leaves in
+        blocks of at most :data:`_PAIRS` atoms, ``atoms[i]`` a copy of the leaf
+        of ``pt[i]``.  Without a grid the pairs stay in point order, as
+        :func:`_scatter_add` needs.  A measure of one leaf has no levels.
         """
-        centers = np.asarray(centers, dtype=np.complex128).ravel()
-        ifs = self.ifs
-        if ifs is None or self.count <= LEAF:
-            return self._direct(
-                centers, lambda d2: np.count_nonzero(d2 <= radius * radius, axis=1)
-            )
-        counts = np.zeros(centers.size, dtype=np.int64)
-        levels = _leaf_levels(ifs.m)
-        leaves = self.positions.reshape(-1, ifs.m**levels)
-        step, rows = max(1, _PAIRS // ifs.m), max(1, _PAIRS // leaves.shape[1])
-        for start in range(0, centers.size, step):
-            pt = np.arange(start, min(start + step, centers.size))
+        ifs = self._tree
+        if ifs is None:
+            depth, leaves, width = -1, self.positions[None, :], self.count
+        else:
+            levels = _leaf_levels(ifs.m) if levels is None else levels
+            depth, leaves = ifs.generation - levels, self.positions.reshape(-1, ifs.m**levels)
+            width = ifs.m if grid is None else grid.table.shape[1]
+        step, rows = max(1, _PAIRS // width), max(1, _PAIRS // leaves.shape[1])
+        for start in range(0, zs.size, step):
+            pt = np.arange(start, min(start + step, zs.size))
             node = np.zeros(pt.size, dtype=np.intp)
             centre = np.zeros(pt.size, dtype=np.complex128)
-            for d in range(ifs.generation - levels + 1):
-                k = ifs.generation - d
-                dist = np.sqrt(_sq_dist(centers[pt], centre))
-                extent = ifs.ratio**d * ifs.radius(k)
-                extent = extent + _SLACK * (1.0 + extent + dist)
-                inside = dist + extent <= radius
-                np.add.at(counts, pt[inside], ifs.m**k)
-                keep = ~inside & (dist - extent <= radius)
+            for d in range(depth + 1):
+                keep = finish(d, pt, node, centre)
                 pt, node, centre = pt[keep], node[keep], centre[keep]
-                if k > levels:
-                    pt, node, centre = _open(ifs, d, pt, node, centre)
+                if d < depth:
+                    pt, node, centre = _open(ifs, d, zs, pt, node, centre, grid)
             for i in range(0, pt.size, rows):
-                p = pt[i : i + rows]
-                hit = _sq_dist(centers[p, None], leaves[node[i : i + rows]]) <= radius * radius
-                np.add.at(counts, p, np.count_nonzero(hit, axis=1))
-        return counts
+                leaf(pt[i : i + rows], leaves[node[i : i + rows]])
 
-    def _direct(self, zs: np.ndarray, reduce) -> np.ndarray:
-        """``reduce(d2)`` per point of the flat ``zs``, ``d2`` holding its squared
-        distances to every atom; points go in chunks of a few MB."""
-        rows = max(1, _PAIRS // self.count)
-        return np.concatenate(
-            [reduce(_sq_dist(zs[i : i + rows, None], self.positions)) for i in range(0, zs.size, rows)]
-            or [np.empty(0)]
-        )
+    @property
+    def _tree(self) -> ImageIFS | None:
+        """The IFS that :meth:`_walk` descends; ``None`` for one leaf."""
+        return self.ifs if self.count > LEAF else None
+
+    def _ball_counts(self, centers: np.ndarray, radius: float) -> np.ndarray:
+        """Atoms in each closed ball ``B(center, radius)``, by the KD-tree test
+        ``dx*dx + dy*dy <= radius*radius``."""
+        centers = np.asarray(centers, dtype=np.complex128).ravel()
+        counts = np.zeros(centers.size, dtype=np.int64)
+        ifs = self._tree
+
+        def finish(d, pt, node, centre):
+            # a cluster wholly inside the ball is counted, one wholly outside dropped
+            k = ifs.generation - d
+            dist = np.sqrt(_sq_dist(centers[pt], centre))
+            extent = ifs.ratio**d * ifs.radius(k)
+            extent = extent + _SLACK * (1.0 + extent + dist)
+            inside = dist + extent <= radius
+            np.add.at(counts, pt[inside], ifs.m**k)
+            return ~inside & (dist - extent <= radius)
+
+        def leaf(pt, atoms):
+            hit = _sq_dist(centers[pt, None], atoms) <= radius * radius
+            np.add.at(counts, pt, np.count_nonzero(hit, axis=1))
+
+        self._walk(centers, finish, leaf)
+        return counts
 
     def ball_mass(self, center: complex, radius: float) -> float:
         """Mass of the closed ball ``B(center, radius)``."""
-        if self.ifs is None:
-            d = np.array([complex(center)]) - self.positions
-            return float(self.weights[d.real * d.real + d.imag * d.imag <= radius * radius].sum())
+        if (self.weights != self.weights[0]).any():
+            inside = _sq_dist(complex(center), self.positions) <= radius * radius
+            return float(self.weights[inside].sum())
         # equal weights: the sum of as many weights as atoms inside
         count = int(self._ball_counts(np.array([complex(center)]), radius)[0])
         return float(self.weights[:count].sum())
@@ -305,57 +331,48 @@ class DiscreteMeasure:
     def nearest_atom_distance(self, zs: np.ndarray) -> np.ndarray:
         """Distance from each point to its nearest atom, ``sqrt(dx*dx + dy*dy)``.
 
-        Branch and bound down the IFS tree.  Following the nearest child at
-        every level reaches one atom, whose distance bounds the search.  A
-        cluster whose disk, widened by :data:`_SLACK`, comes within the bound
-        opens only the children its grid lists: every child for a point far
-        outside it, or for a cluster too small to grid.  A measure without an
-        IFS, or of at most :data:`LEAF` atoms, is searched atom by atom.
+        Branch and bound down the IFS tree to the atoms' parents.  Following
+        the nearest child at every level reaches one atom, whose distance
+        bounds the search.  A cluster whose disk, widened by :data:`_SLACK`,
+        comes within the bound opens only the children its grid lists: every
+        child for a point far outside it, or for a cluster too small to grid.
+        At the atoms' parents the grid lists the atoms that can be nearest.
         """
         zs = np.asarray(zs, dtype=np.complex128)
         flat = zs.ravel()
-        ifs = self.ifs
-        if ifs is None or self.count <= LEAF:
-            return np.sqrt(self._direct(flat, lambda d2: d2.min(axis=1))).reshape(zs.shape)
-        best = np.empty(flat.size)
-        m, s, N = ifs.m, ifs.ratio, ifs.generation
-        leaves = self.positions.reshape(-1, m)
-        step = max(1, _PAIRS // ifs._reach_grid.table.shape[1])
-        for start in range(0, flat.size, step):
-            z = flat[start : start + step]
-            # the atom reached through the nearest child at every level bounds the search
-            node = np.zeros(z.size, dtype=np.intp)
-            centre = np.zeros(z.size, dtype=np.complex128)
-            for d in range(N):
-                j = ifs._near_grid.nearest((z - centre) / s**d)
-                node, centre = node * m + j, centre + s**d * ifs.centers[j]
-            bound = np.sqrt(_sq_dist(z, self.positions[node]))
-            bound += _SLACK * (1.0 + bound)
-            # the clusters that can hold a nearer atom, down to the atoms' parents
-            pt = np.arange(z.size)
-            node = np.zeros(z.size, dtype=np.intp)
-            centre = np.zeros(z.size, dtype=np.complex128)
-            for d in range(N - 1):
-                cells = _frame_cells(ifs._reach_grid, (z[pt] - centre) / s**d, s**d)
-                pair, j = ifs._reach_grid.candidates(cells)
-                pt, node = pt[pair], node[pair] * m + j
-                centre = centre[pair] + s**d * ifs.centers[j]
-                reach = bound[pt] + s ** (d + 1) * ifs.radius(N - d - 1) * (1.0 + _SLACK)
-                keep = _sq_dist(z[pt], centre) <= reach * reach
-                pt, node, centre = pt[keep], node[keep], centre[keep]
-            # their atoms that can be nearest: a cell's row, or every atom
-            cells = _frame_cells(ifs._near_grid, (z[pt] - centre) / s ** (N - 1), s ** (N - 1))
+        best = np.full(flat.size, math.inf)
+        bound = np.empty(flat.size)
+        ifs = self._tree
+
+        def finish(d, pt, node, centre):
+            m, s, N = ifs.m, ifs.ratio, ifs.generation
+            z = flat[pt]
+            if d == 0:
+                # the atom reached through the nearest child at every level bounds the search
+                atom, at = node, centre
+                for level in range(N):
+                    j = ifs._near_grid.nearest((z - at) / s**level)
+                    atom, at = atom * m + j, at + s**level * ifs.centers[j]
+                b = np.sqrt(_sq_dist(z, self.positions[atom]))
+                bound[pt] = b + _SLACK * (1.0 + b)
+            reach = bound[pt] + s**d * ifs.radius(N - d) * (1.0 + _SLACK)
+            keep = _sq_dist(z, centre) <= reach * reach
+            if d < N - 1:
+                return keep
+            # a cell's row of atoms that can be nearest, the padding index m
+            # standing for atom m-1 of the same parent; the rest scan every atom
+            cells = np.full(pt.size, -1)
+            cells[keep] = _frame_cells(ifs._near_grid, (z[keep] - centre[keep]) / s**d, s**d)
             listed = cells >= 0
-            # the padding index m stands for atom m-1 of the same parent
-            atoms = np.minimum(ifs._near_grid.table[cells[listed]], m - 1)
-            near = np.full(z.size, math.inf)
-            p, n = pt[listed], node[listed]
-            np.minimum.at(near, p, _sq_dist(z[p, None], leaves[n[:, None], atoms]).min(axis=1))
-            rest, rows = np.flatnonzero(~listed), max(1, _PAIRS // m)
-            for i in range(0, rest.size, rows):
-                p, n = pt[rest[i : i + rows]], node[rest[i : i + rows]]
-                np.minimum.at(near, p, _sq_dist(z[p, None], leaves[n]).min(axis=1))
-            best[start : start + step] = near
+            atoms = node[listed, None] * m + np.minimum(ifs._near_grid.table[cells[listed]], m - 1)
+            d2 = _sq_dist(z[listed, None], self.positions[atoms])
+            np.minimum.at(best, pt[listed], d2.min(axis=1))
+            return keep & ~listed
+
+        def leaf(pt, atoms):
+            np.minimum.at(best, pt, _sq_dist(flat[pt, None], atoms).min(axis=1))
+
+        self._walk(flat, finish, leaf, levels=1, grid=None if ifs is None else ifs._reach_grid)
         return np.sqrt(best).reshape(zs.shape)
 
     def growth_ratio(self, centers: np.ndarray, radii: np.ndarray) -> float:
@@ -433,9 +450,12 @@ def frostman_measure(
 
 
 def _scatter_add(acc: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """``acc[idx] += values`` with repeated indices accumulated."""
-    acc.real += np.bincount(idx, weights=values.real, minlength=acc.size)
-    acc.imag += np.bincount(idx, weights=values.imag, minlength=acc.size)
+    """``acc[idx] += values`` for non-decreasing ``idx``, repeated indices accumulated."""
+    if idx.size:
+        lo, idx = idx[0], idx - idx[0]
+        window = acc[lo : lo + idx[-1] + 1]
+        window.real += np.bincount(idx, weights=values.real, minlength=window.size)
+        window.imag += np.bincount(idx, weights=values.imag, minlength=window.size)
 
 
 def _laurent(u: np.ndarray, u2: np.ndarray, mu: np.ndarray, radius: float) -> np.ndarray:
@@ -457,58 +477,9 @@ def _laurent(u: np.ndarray, u2: np.ndarray, mu: np.ndarray, radius: float) -> np
     return out
 
 
-def _tree_sum(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
-    """``sum_k w_k / (z - p_k)`` by descending the measure's IFS tree."""
-    ifs = measure.ifs
-    m, s, N = ifs.m, ifs.ratio, ifs.generation
-    leaf_levels = _leaf_levels(m)
-    leaf_depth = N - leaf_levels
-    leaves = measure.positions.reshape(-1, m**leaf_levels)
-    leaf_weights = measure.weights[None, : m**leaf_levels]
-    leaf_rows = max(1, _PAIRS // m**leaf_levels)
-    weight = float(measure.weights[0])
-    out = np.empty(zs.size, dtype=np.complex128)
-    step = max(1, _PAIRS // m)
-    for start in range(0, zs.size, step):
-        z = zs[start : start + step]
-        acc = np.zeros(z.size, dtype=np.complex128)
-        # one entry per (point, cluster) pair still to sum; node numbers the
-        # depth-d clusters in atom order
-        pt = np.arange(z.size)
-        node = np.zeros(z.size, dtype=np.intp)
-        centre = np.zeros(z.size, dtype=np.complex128)
-        for d in range(leaf_depth + 1):
-            k = N - d
-            scale = s**d
-            u = (z[pt] - centre) / scale
-            u2 = u.real**2 + u.imag**2
-            radius = ifs.radius(k)
-            far = u2 >= (radius / THETA) ** 2
-            series = _laurent(u[far], u2[far], ifs.moments[k], radius)
-            _scatter_add(acc, pt[far], series * (weight / scale))
-            near = ~far
-            pt, node, centre = pt[near], node[near], centre[near]
-            if d < leaf_depth:
-                pt, node, centre = _open(ifs, d, pt, node, centre)
-        for i in range(0, pt.size, leaf_rows):
-            p, n = pt[i : i + leaf_rows], node[i : i + leaf_rows]
-            _scatter_add(acc, p, (leaf_weights / (z[p][:, None] - leaves[n])).sum(axis=1))
-        out[start : start + step] = acc
-    return out
-
-
-def cauchy_transform_batch(
-    measure: DiscreteMeasure, zs: np.ndarray, chunk: int = 1 << 22
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(1/pi) * sum_k w_k / (z - p_k)`` with a near-atom flag per point.
-
-    A measure with an IFS and more than :data:`LEAF` atoms is summed by the
-    tree descent of the module docstring, to the accuracy of the direct sum;
-    any other is summed directly, ``chunk`` bounding the elements of each
-    temporary.  Points closer than half the resolution to some atom are
-    flagged: there the discrete transform no longer approximates its
-    continuous limit.  A non-finite point raises :class:`ParameterError`.
-    """
+def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
+    """``(1/pi) * sum_k w_k / (z - p_k)`` at each point of ``zs``, by the walk
+    of the module docstring; a non-finite point raises :class:`ParameterError`."""
     zs = np.asarray(zs, dtype=np.complex128)
     flat = zs.ravel()
     bad = np.flatnonzero(~np.isfinite(flat))
@@ -516,26 +487,48 @@ def cauchy_transform_batch(
         raise ParameterError(
             f"Cauchy transform points must be finite; point {bad[0]} is {flat[bad[0]]}"
         )
-    if measure.ifs is not None and measure.count > LEAF:
-        values = _tree_sum(measure, flat)
-    else:
-        values = np.zeros(flat.size, dtype=np.complex128)
-        n_atoms = measure.count
-        z_chunk = max(1, chunk // max(n_atoms, 1))
-        for start in range(0, flat.size, z_chunk):
-            block = flat[start : start + z_chunk]
-            values[start : start + z_chunk] = (
-                measure.weights[None, :] / (block[:, None] - measure.positions[None, :])
-            ).sum(axis=1)
-    values /= math.pi
-    flagged = measure.nearest_atom_distance(flat) < measure.resolution / 2.0
-    return values.reshape(zs.shape), flagged.reshape(zs.shape)
+    acc = np.zeros(flat.size, dtype=np.complex128)
+    ifs, weight = measure._tree, float(measure.weights[0])
+
+    def finish(d, pt, node, centre):
+        # a cluster seen from beyond radius/THETA is summed by its Laurent series
+        k, scale = ifs.generation - d, ifs.ratio**d
+        u = flat[pt] - centre
+        u /= scale
+        u2 = u.real**2 + u.imag**2
+        radius = ifs.radius(k)
+        far = u2 >= (radius / THETA) ** 2
+        series = _laurent(u[far], u2[far], ifs.moments[k], radius)
+        _scatter_add(acc, pt[far], series * (weight / scale))
+        return ~far
+
+    def leaf(pt, atoms):
+        terms = flat[pt][:, None] - atoms
+        np.divide(measure.weights[None, : atoms.shape[1]], terms, out=terms)
+        _scatter_add(acc, pt, terms.sum(axis=1))
+
+    measure._walk(flat, finish, leaf)
+    acc /= math.pi
+    return acc.reshape(zs.shape)
+
+
+def cauchy_transform_batch(
+    measure: DiscreteMeasure, zs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(1/pi) * sum_k w_k / (z - p_k)`` with a near-atom flag per point.
+
+    Summed to the accuracy of the direct sum.  Points closer than half the
+    resolution to some atom are flagged: there the discrete transform no
+    longer approximates its continuous limit.  A non-finite point raises
+    :class:`ParameterError`.
+    """
+    values = _cauchy_values(measure, zs)
+    return values, measure.nearest_atom_distance(zs) < measure.resolution / 2.0
 
 
 def cauchy_transform(measure: DiscreteMeasure, z: complex) -> complex:
     """Scalar Cauchy transform (see :func:`cauchy_transform_batch` for flags)."""
-    values, _ = cauchy_transform_batch(measure, np.array([z]))
-    return complex(values[0])
+    return complex(_cauchy_values(measure, np.array([z]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +706,10 @@ def dbar_max(
     keep = dist >= margin_factor * spec.measure.resolution
     zs, dist = zs[keep], dist[keep]
     h = np.minimum(dist / 1000.0, 2e-6)
-    gxp, _ = cauchy_transform_batch(spec.measure, zs + h)
-    gxm, _ = cauchy_transform_batch(spec.measure, zs - h)
-    gyp, _ = cauchy_transform_batch(spec.measure, zs + 1j * h)
-    gym, _ = cauchy_transform_batch(spec.measure, zs - 1j * h)
+    gxp = _cauchy_values(spec.measure, zs + h)
+    gxm = _cauchy_values(spec.measure, zs - h)
+    gyp = _cauchy_values(spec.measure, zs + 1j * h)
+    gym = _cauchy_values(spec.measure, zs - 1j * h)
     fx = (gxp - gxm) / (2.0 * h)
     fy = (gyp - gym) / (2.0 * h)
     dbar = 0.5 * (fx + 1j * fy)
@@ -728,7 +721,7 @@ def residue_error(spec: CounterexampleSpec, radius: float, n_points: int = 64) -
     is the witness that the transform has no entire extension."""
     ang = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
     zs = radius * np.exp(1j * ang)
-    g, _ = cauchy_transform_batch(spec.measure, zs)
+    g = _cauchy_values(spec.measure, zs)
     return float(np.abs(zs * g - 1.0 / math.pi).max())
 
 

@@ -119,6 +119,10 @@ class TestFrostmanMeasure:
         with pytest.raises(ParameterError, match="equal atom weights"):
             mu.growth_ratio(np.array([0j]), np.array([0.1, 1.0]))
 
+    def test_rejects_empty_measure(self):
+        with pytest.raises(ParameterError, match="at least one atom"):
+            DiscreteMeasure(np.zeros(0, complex), np.zeros(0), 1e-3, 1.0, 1.0)
+
     def test_ifs_must_match_atoms(self, params7):
         mu = frostman_measure(params7, 2)
         with pytest.raises(ParameterError, match="places 343 atoms, got 49"):
@@ -157,10 +161,8 @@ class TestAtomQueries:
         ref, _ = _kd_tree(mu).query(np.column_stack([zs.real, zs.imag]))
         assert np.array_equal(mu.nearest_atom_distance(zs), ref)
 
-    def test_nearest_atom_distance_direct_paths(self, params7):
-        small = frostman_measure(params7, 2)
-        plain = replace(frostman_measure(params7, 4), ifs=None)
-        for mu in (small, plain):
+    def test_nearest_atom_distance_direct_paths(self, tree_measures):
+        for mu in (tree_measures["small"], tree_measures["plain"]):
             zs = _seeded_points(mu, 32, 500, 200, 20)
             ref, _ = _kd_tree(mu).query(np.column_stack([zs.real, zs.imag]))
             assert np.array_equal(mu.nearest_atom_distance(zs), ref)
