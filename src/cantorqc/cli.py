@@ -13,6 +13,7 @@ import cmath
 import contextlib
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -34,22 +35,25 @@ class CliError(CantorQCError):
     """Runtime failure local to the command line layer."""
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 @contextlib.contextmanager
 def _sink(out_path: str | None):
-    """Stdout, or a temporary file beside ``out_path`` that replaces it only
-    when the block succeeds, so a rejected input leaves the path untouched."""
+    """Stdout, or ``out_path`` written whole or not at all; the only opener of output.
+
+    A temporary file beside the symlink-resolved target replaces it only when the
+    block succeeds and keeps an existing target's permission bits, so a rejected
+    input leaves no new file and an existing one unchanged.  A FIFO or device is
+    written in place.  Stdout keeps what was streamed before a failure.
+    """
     if not out_path:
         yield sys.stdout
         return
-    folder, name = os.path.split(os.path.abspath(out_path))
+    mode = os.stat(out_path).st_mode if os.path.exists(out_path) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(out_path, "w", newline="") as fh:
+            yield fh
+        return
+    target = os.path.realpath(out_path)
+    folder, name = os.path.split(target)
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder)
     except OSError as exc:
@@ -58,13 +62,20 @@ def _sink(out_path: str | None):
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             yield fh
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, out_path)
+        if mode is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    with _sink(out_path) as fh:
+        fh.write(text)
 
 
 def _json_text(obj) -> str:
@@ -92,16 +103,15 @@ def _with_params(cmd):
     return run
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, *, seed: bool = True, out_help: str = "output path (default stdout)"
-) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, seed: bool = True, fmt: bool = False) -> None:
     parser.add_argument("--t", type=float, default=1.0, help="source dimension in (0, 2)")
     parser.add_argument("--K", type=float, default=2.0, help="distortion, K >= 1")
     parser.add_argument("--m", type=int, default=100, help="number of first-generation disks")
-    parser.add_argument("--out", type=str, default=None, help=out_help)
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
+    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    if fmt:
+        parser.add_argument(
+            "--format", choices=("json", "csv"), default="json", help="output format"
+        )
     parser.add_argument("--dry-run", action="store_true", help="print resolved config and stop")
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="deterministic RNG seed")
@@ -158,39 +168,43 @@ def _iter_point_chunks(path: str, chunk: int = 8192):
                 raise ParameterError(f"{path}:{lineno}: map points must be finite, got {line!r}")
             buf.append(point)
             if len(buf) >= chunk:
-                yield np.asarray(buf, dtype=np.complex128)
-                buf = []
+                # drop the list before yielding: the caller works while this frame waits
+                pts, buf = np.asarray(buf, dtype=np.complex128), []
+                yield pts
     if buf:
         yield np.asarray(buf, dtype=np.complex128)
 
 
-def _read_points(path: str) -> np.ndarray:
-    chunks = list(_iter_point_chunks(path))
-    if not chunks:
-        return np.empty(0, dtype=np.complex128)
-    return np.concatenate(chunks)
+def _write_map_table(sink, chunks) -> None:
+    """Write ``(points, values, depths, errs)`` chunks as rows; the header waits for the first."""
+    header = "re,im,phi_re,phi_im,depth,err_bound\n"
+    for pts, values, depths, errs in chunks:
+        sink.write(header)
+        header = ""
+        for z, v, d, e in zip(pts, values, depths, errs):
+            sink.write(
+                f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},"
+                f"{float(v.imag)!r},{int(d)},{float(e)!r}\n"
+            )
+    sink.write(header)
 
 
 @_with_params
 def cmd_eval(args: argparse.Namespace, params: ConstructionParams) -> None:
     # streaming: bounded chunks in, lines straight out
+    chunks = _iter_point_chunks(args.points)
     with _sink(args.out) as sink:
         if args.mode == "jacobian":
             sink.write("re,im,jacobian\n")
-            for pts in _iter_point_chunks(args.points):
+            for pts in chunks:
                 jac = qcmap.jacobian_batch(pts, params, depth_max=args.depth)
                 for z, v in zip(pts, jac):
                     sink.write(f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r}\n")
         else:
             evaluate = qcmap.phi_batch if args.mode == "phi" else qcmap.phi_inverse_batch
-            sink.write("re,im,phi_re,phi_im,depth,err_bound\n")
-            for pts in _iter_point_chunks(args.points):
-                values, depths, errs = evaluate(pts, params, depth_max=args.depth)
-                for z, v, d, e in zip(pts, values, depths, errs):
-                    sink.write(
-                        f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},"
-                        f"{float(v.imag)!r},{int(d)},{float(e)!r}\n"
-                    )
+            _write_map_table(
+                sink, ((pts, *evaluate(pts, params, depth_max=args.depth)) for pts in chunks)
+            )
 
 
 @_with_params
@@ -269,8 +283,7 @@ def cmd_cauchy(args: argparse.Namespace) -> None:
         args.alpha, args.K, args.t, N=args.N, depth_max=args.depth, m=args.m, seed=args.seed
     )
     if args.measure_out:
-        with open(args.measure_out, "w", newline="") as fh:
-            fh.write(_json_text(spec.measure.to_json_dict()))
+        _emit(_json_text(spec.measure.to_json_dict()), args.measure_out)
     report = nonremovable.verify_counterexample(spec, seed=args.seed)
     payload = {"spec": spec.to_json_dict(), "report": report.to_json_dict()}
     _emit(_json_text(payload), args.out)
@@ -304,18 +317,22 @@ def cmd_glue(args: argparse.Namespace) -> None:
     if args.dry_run:
         _emit(_dry_run_payload(args, spec.to_json_dict()), args.out)
         return
-    if args.points:
-        pts = _read_points(args.points)
-        lines = ["re,im,phi_re,phi_im,depth,err_bound"]
+    if not args.points:
+        _emit(_json_text(spec.to_json_dict()), args.out)
+        return
+
+    def glued(pts):
+        # per-point scalar map, as a batch would change the last bits; keep only the columns
+        values, depths, errs = [], [], []
         for z in pts:
             res = qcmap.glued_map(complex(z), spec, depth_max=args.depth)
-            lines.append(
-                f"{float(z.real)!r},{float(z.imag)!r},{float(res.value.real)!r},"
-                f"{float(res.value.imag)!r},{res.depth},{float(res.err_bound)!r}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(spec.to_json_dict()), args.out)
+            values.append(res.value)
+            depths.append(res.depth)
+            errs.append(res.err_bound)
+        return pts, values, depths, errs
+
+    with _sink(args.out) as sink:
+        _write_map_table(sink, map(glued, _iter_point_chunks(args.points)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("disks", help="emit generation disk centers")
-    _add_common(p, seed=False)
+    _add_common(p, seed=False, fmt=True)
     p.add_argument("--N", type=int, default=1, help="generation")
     p.add_argument("--side", choices=("source", "image"), default="source")
     p.set_defaults(func=cmd_disks)
 
     p = sub.add_parser("eval", help="batch-evaluate the map on a points file")
-    _add_common(
-        p,
-        seed=False,
-        out_help="output path (default stdout); the table is written whole or not at all, "
-        "while stdout already holds the rows streamed before a rejected line",
-    )
+    _add_common(p, seed=False)
     p.add_argument("--points", type=str, required=True, help="CSV file of re,im per line")
     p.add_argument("--mode", choices=("phi", "inverse", "jacobian"), default="phi")
     p.add_argument("--depth", type=int, default=32)
@@ -361,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lp_mass)
 
     p = sub.add_parser("dimension", help="box-counting dimension of generation centers")
-    _add_common(p)
+    _add_common(p, fmt=True)
     p.add_argument("--N", type=int, default=4, help="generation")
     p.add_argument("--side", choices=("source", "image"), default="source")
     p.set_defaults(func=cmd_dimension)
 
     p = sub.add_parser("holder", help="Hölder exponent estimation for the map")
-    _add_common(p)
+    _add_common(p, fmt=True)
     p.add_argument("--target", type=float, default=None, help="target exponent (default t/t')")
     p.add_argument("--depth", type=int, default=40)
     p.add_argument("--depth-pairs", type=int, default=5, help="adversarial pair generations")
@@ -398,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measure-out", type=str, default=None, help="write the atom list JSON here")
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=cmd_cauchy)
 
@@ -423,12 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"parameter rejection: {exc}", file=sys.stderr)
         return 2
-    except CantorQCError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:
         return 0
-    except OSError as exc:
+    except (CantorQCError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -10,7 +10,7 @@ from randomized disk sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -133,18 +133,11 @@ class HolderConfig:
 
     def scaled(self, factor: float) -> "HolderConfig":
         """Same plan with the random sample counts multiplied by ``factor``."""
-        return HolderConfig(
-            params=self.params,
+        return replace(
+            self,
             n_uniform=int(self.n_uniform * factor),
             n_stratified=int(self.n_stratified * factor),
-            decades=self.decades,
-            min_separation=self.min_separation,
-            adversarial_depth=self.adversarial_depth,
             adversarial_per_generation=int(self.adversarial_per_generation * factor),
-            adversarial_offset=self.adversarial_offset,
-            annulus_levels=self.annulus_levels,
-            annulus_disks=self.annulus_disks,
-            annulus_angles=self.annulus_angles,
         )
 
 
@@ -209,8 +202,8 @@ def _annulus_endpoints(config: HolderConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(z1_parts), np.concatenate(z2_parts)
 
 
-def _collect_pairs(map_fn: MapFn, config: HolderConfig, seed: int, with_excluded=False):
-    """Assemble all pair families, evaluate the map, and drop unusable pairs."""
+def _collect_pairs(map_fn: MapFn, config: HolderConfig, seed: int):
+    """Assemble all pair families, evaluate the map, and drop (and count) unusable pairs."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z1_parts, z2_parts, adv_parts = [], [], []
 
@@ -254,9 +247,7 @@ def _collect_pairs(map_fn: MapFn, config: HolderConfig, seed: int, with_excluded
     sep, adversarial = sep[finite], adversarial[finite]
     diff = np.abs(v1[finite] - v2[finite])
     bound = e1[finite] + e2[finite]
-    if with_excluded:
-        return sep, diff, bound, adversarial, excluded
-    return sep, diff, bound, adversarial
+    return sep, diff, bound, adversarial, excluded
 
 
 def holder_pair_table(
@@ -266,7 +257,7 @@ def holder_pair_table(
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat ``(separations, certified ratios)`` table for external plotting."""
-    sep, diff, bound, _ = _collect_pairs(map_fn, config, seed)
+    sep, diff, bound, _, _ = _collect_pairs(map_fn, config, seed)
     return sep, (diff + bound) / sep**exponent_target
 
 
@@ -284,9 +275,7 @@ def holder_estimate(
     dropped from the regression (and counted).  Only pairs with separation
     below 1 enter.
     """
-    sep, diff, bound, adversarial, excluded = _collect_pairs(
-        map_fn, config, seed, with_excluded=True
-    )
+    sep, diff, bound, adversarial, excluded = _collect_pairs(map_fn, config, seed)
     ratio_upper = (diff + bound) / sep**exponent_target
     max_ratio = float(ratio_upper.max()) if ratio_upper.size else 0.0
 

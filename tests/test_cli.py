@@ -1,10 +1,16 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from cantorqc import cli
+
 BASE = [sys.executable, "-m", "cantorqc"]
+GLUE = ["glue", "--t", "1", "--K", "2", "--hosts=-0.45,0.0,0.1", "--piece-m", "7"]
 
 
 def run_cli(*args, expect=0):
@@ -156,6 +162,109 @@ def test_glue_rejects_non_finite_point_off_hosts(tmp_path):
     assert proc.returncode == 2
     assert f"{pts}:2:" in proc.stderr.decode()
     assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_glue_rejected_input_leaves_out_untouched(tmp_path, existing):
+    # the rejected line comes after the first 8,192-point chunk was written
+    pts = tmp_path / "nan.csv"
+    rows = [f"{0.0001 * i!r},0.1" for i in range(8200)]
+    rows[8194] = "nan,0.1"
+    pts.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out.csv"
+    before = b"re,im,phi_re,phi_im,depth,err_bound\n0.5,0.5,0.5,0.5,0,0.0\n"
+    if existing:
+        out.write_bytes(before)
+    listing = sorted(tmp_path.iterdir())
+    proc = subprocess.run(
+        BASE + GLUE + ["--points", str(pts), "--out", str(out)], capture_output=True
+    )
+    assert proc.returncode == 2
+    assert ":8195:" in proc.stderr.decode()
+    assert sorted(tmp_path.iterdir()) == listing
+    if existing:
+        assert out.read_bytes() == before
+
+
+def test_glue_points_memory_is_bounded(tmp_path):
+    # streamed in chunks: the peak must not grow with the point count
+    n = 30000
+    pts = tmp_path / "off_hosts.csv"
+    pts.write_text("".join(f"{2 + k * 1e-6!r},1.0\n" for k in range(n)))
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(GLUE + ["--points", str(pts), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == n + 1 and lines[1].startswith("2.0,1.0,2.0,1.0,0,")
+    assert peak < 2.5e6
+
+
+def _sink_argv(tmp_path, command):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.25,0.1\n-0.3,0.44\n2.0,0.0\n")
+    return {
+        "params": ["params", "--t", "1", "--K", "2", "--m", "7"],
+        "eval": ["eval", "--points", str(pts), "--m", "7"],
+        "glue": GLUE + ["--points", str(pts)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["params", "eval", "glue"])
+def test_out_through_symlink_writes_its_target(tmp_path, command):
+    argv = _sink_argv(tmp_path, command)
+    expected = run_cli(*argv).stdout
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link = tmp_path / "link.csv"
+    link.symlink_to("target.csv")
+    run_cli(*argv, "--out", str(link))
+    assert link.is_symlink() and os.readlink(link) == "target.csv"
+    assert target.read_bytes() == expected
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("command", ["params", "eval", "glue"])
+def test_out_to_fifo_is_written_in_place(tmp_path, command):
+    argv = _sink_argv(tmp_path, command)
+    expected = run_cli(*argv).stdout
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # held open for reading, so the command's open never blocks; the output fits the pipe
+    fd = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        run_cli(*argv, "--out", str(fifo))
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(fd, 1 << 16) == expected
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params"],
+        ["eval", "--points", "pts.csv"],
+        ["lp-mass"],
+        ["packing"],
+        ["growth"],
+        ["cauchy", "--alpha", "0.5", "--t", "1.6"],
+        GLUE,
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_format_is_a_usage_error_where_nothing_reads_it(argv, capsys):
+    # only disks, dimension and holder read --format
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cantorqc") and "unrecognized arguments: --format csv" in err
 
 
 def test_lp_mass_p1_is_pi():
