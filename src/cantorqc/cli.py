@@ -16,6 +16,7 @@ import os
 import stat
 import sys
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -42,9 +43,11 @@ def _sink(out_path: str | None):
     A temporary file beside the symlink-resolved target replaces it only when the
     block succeeds and keeps an existing target's permission bits, so a rejected
     input leaves no new file and an existing one unchanged.  A FIFO or device is
-    written in place.  Stdout keeps what was streamed before a failure.
+    written in place.  A path naming the file stdout is open on is stdout, so a
+    redirect in append mode keeps the file's earlier content.  Stdout keeps what
+    was streamed before a failure.
     """
-    if not out_path:
+    if not out_path or _is_stdout(out_path):
         yield sys.stdout
         return
     mode = os.stat(out_path).st_mode if os.path.exists(out_path) else None
@@ -73,9 +76,23 @@ def _sink(out_path: str | None):
         raise
 
 
+def _is_stdout(path: str) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        return False
+
+
 def _emit(text: str, out_path: str | None) -> None:
     with _sink(out_path) as fh:
         fh.write(text)
+
+
+def _write_table(sink, header: str, lines) -> None:
+    """Write a CSV table; the header waits for the first line, or stands alone."""
+    lines = iter(lines)
+    sink.write(header + next(lines, ""))
+    sink.writelines(lines)
 
 
 def _json_text(obj) -> str:
@@ -129,19 +146,17 @@ def cmd_params(args: argparse.Namespace, params: ConstructionParams) -> None:
 @_with_params
 def cmd_disks(args: argparse.Namespace, params: ConstructionParams) -> None:
     centers = generation_centers(args.N, args.side, params)
-    ratio = params.source_ratio if args.side == "source" else params.image_ratio
-    radius = ratio**args.N
     if args.format == "csv":
-        lines = ["re,im"]
-        lines += [f"{float(z.real)!r},{float(z.imag)!r}" for z in centers]
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = (f"{float(z.real)!r},{float(z.imag)!r}\n" for z in centers)
+        with _sink(args.out) as sink:
+            _write_table(sink, "re,im\n", rows)
     else:
         _emit(
             _json_text(
                 {
                     "side": args.side,
                     "N": args.N,
-                    "radius": radius,
+                    "radius": params.ratio(args.side) ** args.N,
                     "centers": [[z.real, z.imag] for z in centers],
                 }
             ),
@@ -149,7 +164,7 @@ def cmd_disks(args: argparse.Namespace, params: ConstructionParams) -> None:
         )
 
 
-def _iter_point_chunks(path: str, chunk: int = 8192):
+def _iter_point_chunks(path: str):
     """Yield point arrays of bounded size; malformed or non-finite lines carry their number."""
     buf: list[complex] = []
     with open(path) as fh:
@@ -167,7 +182,7 @@ def _iter_point_chunks(path: str, chunk: int = 8192):
             if not cmath.isfinite(point):
                 raise ParameterError(f"{path}:{lineno}: map points must be finite, got {line!r}")
             buf.append(point)
-            if len(buf) >= chunk:
+            if len(buf) >= 8192:
                 # drop the list before yielding: the caller works while this frame waits
                 pts, buf = np.asarray(buf, dtype=np.complex128), []
                 yield pts
@@ -175,36 +190,32 @@ def _iter_point_chunks(path: str, chunk: int = 8192):
         yield np.asarray(buf, dtype=np.complex128)
 
 
-def _write_map_table(sink, chunks) -> None:
-    """Write ``(points, values, depths, errs)`` chunks as rows; the header waits for the first."""
-    header = "re,im,phi_re,phi_im,depth,err_bound\n"
-    for pts, values, depths, errs in chunks:
-        sink.write(header)
-        header = ""
-        for z, v, d, e in zip(pts, values, depths, errs):
-            sink.write(
-                f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},"
-                f"{float(v.imag)!r},{int(d)},{float(e)!r}\n"
-            )
-    sink.write(header)
+_MAP_HEADER = "re,im,phi_re,phi_im,depth,err_bound\n"
+
+
+def _map_rows(pts, values, depths, errs):
+    """Lines of the six-column map table."""
+    return (
+        f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},"
+        f"{float(v.imag)!r},{int(d)},{float(e)!r}\n"
+        for z, v, d, e in zip(pts, values, depths, errs)
+    )
 
 
 @_with_params
 def cmd_eval(args: argparse.Namespace, params: ConstructionParams) -> None:
     # streaming: bounded chunks in, lines straight out
-    chunks = _iter_point_chunks(args.points)
-    with _sink(args.out) as sink:
+    def rows(pts):
         if args.mode == "jacobian":
-            sink.write("re,im,jacobian\n")
-            for pts in chunks:
-                jac = qcmap.jacobian_batch(pts, params, depth_max=args.depth)
-                for z, v in zip(pts, jac):
-                    sink.write(f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r}\n")
-        else:
-            evaluate = qcmap.phi_batch if args.mode == "phi" else qcmap.phi_inverse_batch
-            _write_map_table(
-                sink, ((pts, *evaluate(pts, params, depth_max=args.depth)) for pts in chunks)
-            )
+            jac = qcmap.jacobian_batch(pts, params, depth_max=args.depth)
+            return (f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r}\n" for z, v in zip(pts, jac))
+        evaluate = qcmap.phi_batch if args.mode == "phi" else qcmap.phi_inverse_batch
+        return _map_rows(pts, *evaluate(pts, params, depth_max=args.depth))
+
+    header = "re,im,jacobian\n" if args.mode == "jacobian" else _MAP_HEADER
+    lines = chain.from_iterable(map(rows, _iter_point_chunks(args.points)))
+    with _sink(args.out) as sink:
+        _write_table(sink, header, lines)
 
 
 @_with_params
@@ -224,9 +235,9 @@ def cmd_dimension(args: argparse.Namespace, params: ConstructionParams) -> None:
     est = verify.box_dimension(args.side, params, args.N, seed=args.seed)
     reference = params.t if args.side == "source" else params.dim_image
     if args.format == "csv":
-        lines = ["scale,count"]
-        lines += [f"{float(s)!r},{int(c)}" for s, c in zip(est.scales, est.counts)]
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = (f"{float(s)!r},{int(c)}\n" for s, c in zip(est.scales, est.counts))
+        with _sink(args.out) as sink:
+            _write_table(sink, "scale,count\n", rows)
     else:
         payload = est.to_json_dict()
         payload.update({"side": args.side, "N": args.N, "reference": reference})
@@ -240,9 +251,9 @@ def cmd_holder(args: argparse.Namespace, params: ConstructionParams) -> None:
     map_fn = qcmap.phi_map_fn(params, depth_max=args.depth)
     if args.format == "csv":
         sep, ratio = verify.holder_pair_table(map_fn, target, config, seed=args.seed)
-        lines = ["separation,ratio"]
-        lines += [f"{float(s)!r},{float(q)!r}" for s, q in zip(sep, ratio)]
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = (f"{float(s)!r},{float(q)!r}\n" for s, q in zip(sep, ratio))
+        with _sink(args.out) as sink:
+            _write_table(sink, "separation,ratio\n", rows)
         return
     report = verify.holder_estimate(map_fn, target, config, seed=args.seed)
     payload = report.to_json_dict()
@@ -321,18 +332,19 @@ def cmd_glue(args: argparse.Namespace) -> None:
         _emit(_json_text(spec.to_json_dict()), args.out)
         return
 
-    def glued(pts):
-        # per-point scalar map, as a batch would change the last bits; keep only the columns
+    def rows(pts):
+        # per-point scalar map, as a batch would change the last bits
         values, depths, errs = [], [], []
         for z in pts:
             res = qcmap.glued_map(complex(z), spec, depth_max=args.depth)
             values.append(res.value)
             depths.append(res.depth)
             errs.append(res.err_bound)
-        return pts, values, depths, errs
+        return _map_rows(pts, values, depths, errs)
 
+    lines = chain.from_iterable(map(rows, _iter_point_chunks(args.points)))
     with _sink(args.out) as sink:
-        _write_map_table(sink, map(glued, _iter_point_chunks(args.points)))
+        _write_table(sink, _MAP_HEADER, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ class ParameterError(CantorQCError):
 
 
 class EnumerationCapError(CantorQCError):
-    """A generation enumeration would exceed the configured cap."""
+    """A generation enumeration would exceed :data:`ENUMERATION_CAP`."""
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +511,12 @@ class ConstructionParams:
         """Contraction ratio of the image similarities, ``sigma**(1/K) * r``."""
         return self.sigma ** (1.0 / self.K) * self.r
 
+    def ratio(self, side: str) -> float:
+        """Contraction ratio of the ``"source"`` or ``"image"`` similarities."""
+        if side not in ("source", "image"):
+            raise ParameterError(f"side must be 'source' or 'image', got {side!r}")
+        return self.source_ratio if side == "source" else self.image_ratio
+
     @property
     def critical_p(self) -> float:
         """Integrability threshold ``K/(K-1)`` of the Jacobian (inf when K=1)."""
@@ -604,41 +610,50 @@ def _check_index(J: Sequence[int], m: int) -> MultiIndex:
     return J
 
 
-def _compose_chain(J: MultiIndex, centers: np.ndarray, ratio: float) -> Similarity:
-    a, b = 0j, 1 + 0j
-    for j in J:
-        a = a + b * centers[j]
-        b = b * ratio
-    return Similarity(a, b)
+def _chain_offsets(
+    digits: np.ndarray, centers: np.ndarray, ratio: float
+) -> tuple[np.ndarray, float]:
+    """Offsets ``a`` and common scale of the similarities addressed by each row of ``digits``.
+
+    Row ``J`` addresses ``z -> a + scale*z``, the composite of the maps
+    ``z -> centers[j] + ratio*z`` with the first digit outermost.  Seeded
+    ``lp-mass`` and ``holder`` output depends on this accumulation order.
+    """
+    a = np.zeros(digits.shape[0], dtype=np.complex128)
+    scale = 1.0
+    for j in range(digits.shape[1]):
+        a += scale * centers[digits[:, j]]
+        scale *= ratio
+    return a, scale
+
+
+def _chain_map(J: Sequence[int], params: ConstructionParams, side: str) -> Similarity:
+    digits = np.array([_check_index(J, params.m)], dtype=np.intp)
+    a, scale = _chain_offsets(digits, params.packing.centers, params.ratio(side))
+    return Similarity(complex(a[0]), complex(scale))
 
 
 def source_map(J: Sequence[int], params: ConstructionParams) -> Similarity:
     """Composite source similarity addressed by ``J`` (first digit outermost)."""
-    J = _check_index(J, params.m)
-    return _compose_chain(J, params.packing.centers, params.source_ratio)
+    return _chain_map(J, params, "source")
 
 
 def image_map(J: Sequence[int], params: ConstructionParams) -> Similarity:
     """Composite image similarity addressed by ``J`` (first digit outermost)."""
-    J = _check_index(J, params.m)
-    return _compose_chain(J, params.packing.centers, params.image_ratio)
+    return _chain_map(J, params, "image")
 
 
-def _check_cap(m: int, N: int, cap: int) -> None:
+def _check_cap(m: int, N: int) -> None:
     if N < 0:
         raise ParameterError(f"generation N must be >= 0, got {N}")
-    if m**N > cap:
-        raise EnumerationCapError(f"m**N = {m}**{N} exceeds the enumeration cap {cap}")
+    if m**N > ENUMERATION_CAP:
+        raise EnumerationCapError(f"m**N = {m}**{N} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
-def generation_centers(
-    N: int, side: str, params: ConstructionParams, cap: int = ENUMERATION_CAP
-) -> np.ndarray:
+def generation_centers(N: int, side: str, params: ConstructionParams) -> np.ndarray:
     """Centers of all generation-``N`` disks in lexicographic multi-index order."""
-    if side not in ("source", "image"):
-        raise ParameterError(f"side must be 'source' or 'image', got {side!r}")
-    _check_cap(params.m, N, cap)
-    ratio = params.source_ratio if side == "source" else params.image_ratio
+    ratio = params.ratio(side)
+    _check_cap(params.m, N)
     out = np.array([0j])
     for _ in range(N):
         out = (params.packing.centers[:, None] + ratio * out[None, :]).ravel()
@@ -646,11 +661,10 @@ def generation_centers(
 
 
 def generation_disks(
-    N: int, side: str, params: ConstructionParams, cap: int = ENUMERATION_CAP
+    N: int, side: str, params: ConstructionParams
 ) -> list[tuple[MultiIndex, Disk]]:
     """All generation-``N`` disks with their multi-indices."""
-    centers = generation_centers(N, side, params, cap=cap)
-    ratio = params.source_ratio if side == "source" else params.image_ratio
-    radius = ratio**N if N > 0 else 1.0
+    centers = generation_centers(N, side, params)
+    radius = params.ratio(side) ** N if N > 0 else 1.0
     indices = product(range(params.m), repeat=N)
     return [(J, Disk(complex(c), radius)) for J, c in zip(indices, centers)]

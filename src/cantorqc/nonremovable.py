@@ -406,24 +406,21 @@ def frostman_measure(
     params: ConstructionParams,
     N: int,
     growth_delta: float = 0.05,
-    ball_samples: int = 200,
-    n_radii: int = 12,
     seed: int = 0,
-    cap: int = ENUMERATION_CAP,
 ) -> DiscreteMeasure:
     """Uniform atoms on the generation-``N`` image centers, with growth certificate.
 
     Weights are ``m**-N`` each; the certificate exponent is
     ``dim_image - growth_delta`` and the constant is the observed maximum of
-    ``mass(B)/rho**s`` over balls centered at sampled atoms and random points,
-    with radii log-spaced between the resolution and 2.
+    ``mass(B)/rho**s`` over balls centered at 200 sampled atoms and 200
+    random points, with 12 radii log-spaced between the resolution and 2.
     """
     if growth_delta <= 0:
         raise ParameterError(f"growth_delta must be positive, got {growth_delta}")
     s = params.dim_image - growth_delta
     if s <= 0:
         raise ParameterError(f"growth exponent {s} must be positive")
-    centers = generation_centers(N, "image", params, cap=cap)
+    centers = generation_centers(N, "image", params)
     weights = np.full(centers.size, float(params.m) ** (-N))
     resolution = params.image_radius(N)
     measure = DiscreteMeasure(
@@ -435,13 +432,13 @@ def frostman_measure(
         ifs=ImageIFS(params.packing.centers, params.image_ratio, N),
     )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n_atoms = min(ball_samples, centers.size)
+    n_atoms = min(200, centers.size)
     picked = centers[rng.choice(centers.size, size=n_atoms, replace=False)]
-    rad = np.sqrt(rng.uniform(0.0, 1.0, ball_samples))
-    ang = rng.uniform(0.0, 2.0 * math.pi, ball_samples)
+    rad = np.sqrt(rng.uniform(0.0, 1.0, 200))
+    ang = rng.uniform(0.0, 2.0 * math.pi, 200)
     random_centers = rad * np.exp(1j * ang)
     ball_centers = np.concatenate([picked, random_centers])
-    radii = np.geomspace(resolution, 2.0, n_radii)
+    radii = np.geomspace(resolution, 2.0, 12)
     return replace(measure, growth_constant=measure.growth_ratio(ball_centers, radii))
 
 
@@ -586,8 +583,6 @@ def build_counterexample(
     N: int = 2,
     depth_max: int = 40,
     m: int | None = None,
-    sigma_max: float = 0.995,
-    cap: int = ENUMERATION_CAP,
     seed: int = 0,
 ) -> CounterexampleSpec:
     """Assemble the counterexample for Hölder-``alpha`` nonremovability at dimension ``t``.
@@ -595,7 +590,7 @@ def build_counterexample(
     Rejects ``t`` at or below the removability threshold
     ``2(1 + alpha*K)/(1 + K)``.  Epsilon is half the maximal admissible value;
     ``m`` (when not given) is the smallest complete-ring hexagonal count whose
-    layout yields ``sigma <= sigma_max`` and an image-dimension deficit at most
+    layout yields ``sigma <= 0.995`` and an image-dimension deficit at most
     epsilon, so the discrete measure's growth exponent ``t' - 2 eps`` stays
     below the achieved dimension.
     """
@@ -610,14 +605,14 @@ def build_counterexample(
     epsilon = 0.5 * max_admissible_epsilon(alpha, K, t)
 
     def try_m(candidate: int) -> ConstructionParams | None:
-        if candidate**N > cap:
+        if candidate**N > ENUMERATION_CAP:
             return None
         packing = build_packing(candidate)
         try:
             params = derive_params(t, K, packing)
         except ParameterError:
             return None
-        if params.sigma > sigma_max:
+        if params.sigma > 0.995:
             return None
         if params.t_prime - params.dim_image > epsilon:
             return None
@@ -628,8 +623,8 @@ def build_counterexample(
         params = try_m(m)
         if params is None:
             raise ParameterError(
-                f"m = {m} does not satisfy sigma <= {sigma_max}, deficit <= {epsilon:.6g} "
-                f"and m**N <= {cap} for (alpha, K, t) = ({alpha}, {K}, {t})"
+                f"m = {m} does not satisfy sigma <= 0.995, deficit <= {epsilon:.6g} "
+                f"and m**N <= {ENUMERATION_CAP} for (alpha, K, t) = ({alpha}, {K}, {t})"
             )
     else:
         for candidate in CENTERED_HEX_LADDER:
@@ -639,12 +634,12 @@ def build_counterexample(
         if params is None:
             raise ParameterError(
                 f"no ladder layout up to m = {CENTERED_HEX_LADDER[-1]} meets "
-                f"sigma <= {sigma_max} and deficit <= {epsilon:.6g} at t = {t}"
+                f"sigma <= 0.995 and deficit <= {epsilon:.6g} at t = {t}"
             )
 
     growth_target = params.t_prime - 2.0 * epsilon
     growth_delta = params.dim_image - growth_target
-    measure = frostman_measure(params, N, growth_delta=growth_delta, seed=seed, cap=cap)
+    measure = frostman_measure(params, N, growth_delta=growth_delta, seed=seed)
     expected = (params.t_prime - 2.0 * epsilon - 1.0) * t / params.t_prime
     return CounterexampleSpec(
         alpha=float(alpha),
@@ -690,20 +685,18 @@ def _f_map_fn(spec: CounterexampleSpec):
     return fn
 
 
-def dbar_max(
-    spec: CounterexampleSpec, grid: int = 40, margin_factor: float = 2.0
-) -> float:
+def dbar_max(spec: CounterexampleSpec, grid: int = 40) -> float:
     """Max finite-difference d-bar of the transform away from the atoms.
 
     Central differences on a square grid restricted to points at least
-    ``margin_factor * resolution`` from every atom, with per-point step
+    twice the resolution from every atom, with per-point step
     ``min(distance/1000, 2e-6)`` balancing truncation against round-off;
     holomorphy off the support should drive this to zero.
     """
     axis = np.linspace(-1.1, 1.1, grid)
     zs = (axis[:, None] + 1j * axis[None, :]).ravel()
     dist = spec.measure.nearest_atom_distance(zs)
-    keep = dist >= margin_factor * spec.measure.resolution
+    keep = dist >= 2.0 * spec.measure.resolution
     zs, dist = zs[keep], dist[keep]
     h = np.minimum(dist / 1000.0, 2e-6)
     gxp = _cauchy_values(spec.measure, zs + h)
@@ -716,10 +709,11 @@ def dbar_max(
     return float(np.abs(dbar).max())
 
 
-def residue_error(spec: CounterexampleSpec, radius: float, n_points: int = 64) -> float:
-    """Max of ``|z*g(z) - 1/pi|`` over a circle; a nonzero residue at infinity
-    is the witness that the transform has no entire extension."""
-    ang = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+def residue_error(spec: CounterexampleSpec, radius: float) -> float:
+    """Max of ``|z*g(z) - 1/pi|`` over 64 points of a circle; a nonzero
+    residue at infinity is the witness that the transform has no entire
+    extension."""
+    ang = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     zs = radius * np.exp(1j * ang)
     g = _cauchy_values(spec.measure, zs)
     return float(np.abs(zs * g - 1.0 / math.pi).max())

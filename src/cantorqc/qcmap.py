@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ConstructionParams, Disk, ParameterError
+from .geometry import ConstructionParams, Disk, ParameterError, _chain_offsets
 
 #: Relative half-width of the band around each seam circle where the
 #: Jacobian is reported as undefined rather than picked from one side.
@@ -379,23 +379,6 @@ def _uniform_disk(rng: np.random.Generator, n: int, radius: float = 1.0) -> np.n
     rad = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
     ang = rng.uniform(0.0, 2.0 * math.pi, n)
     return rad * np.exp(1j * ang)
-
-
-def _chain_offsets(
-    digits: np.ndarray, centers: np.ndarray, ratio: float
-) -> tuple[np.ndarray, float]:
-    """Offsets ``a`` and common scale of the similarities addressed by each row of ``digits``.
-
-    Row ``J`` addresses ``z -> a + scale*z``, the composite of the maps
-    ``z -> centers[j] + ratio*z`` with the first digit outermost.  Seeded
-    ``lp-mass`` and ``holder`` output depends on this accumulation order.
-    """
-    a = np.zeros(digits.shape[0], dtype=np.complex128)
-    scale = 1.0
-    for j in range(digits.shape[1]):
-        a += scale * centers[digits[:, j]]
-        scale *= ratio
-    return a, scale
 
 
 def _template_points(

@@ -16,12 +16,12 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
-    ENUMERATION_CAP,
     ConstructionParams,
     ParameterError,
+    _chain_offsets,
     generation_centers,
 )
-from .qcmap import _chain_offsets, _uniform_disk, jacobian_batch
+from .qcmap import _uniform_disk, jacobian_batch
 
 MapFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
@@ -68,20 +68,18 @@ def box_dimension(
     params: ConstructionParams,
     N: int,
     scales: tuple[float, ...] | None = None,
-    n_offsets: int = 32,
     seed: int = 0,
-    cap: int = ENUMERATION_CAP,
 ) -> DimensionEstimate:
     """Box-counting slope over generation-``N`` disk centers.
 
     Default scales are the self-similar ladder ``0.45 * ratio**k``, stopping
     two levels short of the generation so no scale starves for centers (at
     relative residual depth 1 a box count saturates at the point count and
-    drags the slope down); multiple random grid offsets are summed per scale
-    to wash out lattice alignment.
+    drags the slope down); 32 random grid offsets are summed per scale to
+    wash out lattice alignment.
     """
-    centers = generation_centers(N, side, params, cap=cap)
-    ratio = params.source_ratio if side == "source" else params.image_ratio
+    centers = generation_centers(N, side, params)
+    ratio = params.ratio(side)
     if scales is None:
         top = N - 1 if N >= 4 else N
         scales = tuple(0.45 * ratio**k for k in range(top))
@@ -96,7 +94,7 @@ def box_dimension(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = []
     for s in scales:
-        offsets = rng.uniform(0.0, s, size=(n_offsets, 2))
+        offsets = rng.uniform(0.0, s, size=(32, 2))
         counts.append(_box_count(centers, s, offsets))
     x = np.log(1.0 / np.asarray(scales))
     y = np.log(np.asarray(counts, dtype=float))
@@ -112,24 +110,22 @@ def box_dimension(
 class HolderConfig:
     """Pair-sampling plan for Hölder estimation.
 
-    Three random families (uniform pairs, scale-stratified pairs spanning
-    ``decades`` orders of separation) plus two deterministic adversarial
-    families built from the construction geometry: same-parent orbit pairs
-    (the family realizing the dimension-distortion exponent) and tangential
-    pairs on the first annuli (where the pointwise stretch peaks).
+    Two random families (uniform pairs, and scale-stratified pairs with
+    separations log-uniform over the four decades above 1e-5) plus two
+    deterministic adversarial families built from the construction geometry:
+    same-parent orbit pairs (the family realizing the dimension-distortion
+    exponent) and tangential pairs, 24 to a ring, on the first annuli (where
+    the pointwise stretch peaks).
     """
 
-    params: ConstructionParams | None = None
+    params: ConstructionParams
     n_uniform: int = 2000
     n_stratified: int = 4000
-    decades: float = 4.0
-    min_separation: float = 1e-5
     adversarial_depth: int = 5
     adversarial_per_generation: int = 400
     adversarial_offset: complex = 0j
     annulus_levels: int = 2
     annulus_disks: int = 12
-    annulus_angles: int = 24
 
     def scaled(self, factor: float) -> "HolderConfig":
         """Same plan with the random sample counts multiplied by ``factor``."""
@@ -160,7 +156,6 @@ def _chain_endpoints(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Same-parent orbit pairs across generations 1..adversarial_depth."""
     params = config.params
-    assert params is not None
     m = params.m
     centers = params.packing.centers
     sr = params.source_ratio
@@ -183,11 +178,10 @@ def _chain_endpoints(
 def _annulus_endpoints(config: HolderConfig) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic tangential pairs on the first few annulus levels."""
     params = config.params
-    assert params is not None
     centers = params.packing.centers
     r, sigma, sr = params.r, params.sigma, params.source_ratio
     n_disks = min(params.m, config.annulus_disks)
-    angles = np.linspace(0.0, 2.0 * math.pi, config.annulus_angles, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     rhos = np.geomspace(sigma * 1.02, 0.98, 5)
     z1_parts, z2_parts = [], []
     for level in range(config.annulus_levels):
@@ -215,19 +209,17 @@ def _collect_pairs(map_fn: MapFn, config: HolderConfig, seed: int):
         adv_parts.append(np.zeros(config.n_uniform, dtype=bool))
     if config.n_stratified > 0:
         a = _uniform_disk(rng, config.n_stratified, radius=1.0)
-        sep = config.min_separation * 10.0 ** rng.uniform(
-            0.0, config.decades, config.n_stratified
-        )
+        sep = 1e-5 * 10.0 ** rng.uniform(0.0, 4.0, config.n_stratified)
         ang = rng.uniform(0.0, 2.0 * math.pi, config.n_stratified)
         z1_parts.append(a)
         z2_parts.append(a + sep * np.exp(1j * ang))
         adv_parts.append(np.zeros(config.n_stratified, dtype=bool))
-    if config.params is not None and config.adversarial_depth > 0:
+    if config.adversarial_depth > 0:
         a, b = _chain_endpoints(rng, config)
         z1_parts.append(a)
         z2_parts.append(b)
         adv_parts.append(np.ones(a.size, dtype=bool))
-    if config.params is not None and config.annulus_levels > 0:
+    if config.annulus_levels > 0:
         a, b = _annulus_endpoints(config)
         z1_parts.append(a)
         z2_parts.append(b)
@@ -328,7 +320,6 @@ def packing_condition_check(
     trials: int,
     seed: int,
     params: ConstructionParams,
-    cap: int = ENUMERATION_CAP,
 ) -> PackingConditionReport:
     """Randomized sweep for the s-dimensional packing constant at generation ``N``.
 
@@ -343,7 +334,7 @@ def packing_condition_check(
     t = params.t
     if s < t - 1e-12:
         raise ParameterError(f"packing exponent s = {s} must be >= t = {t}")
-    centers = generation_centers(N, "source", params, cap=cap)
+    centers = generation_centers(N, "source", params)
     g_diam = 2.0 * params.source_ratio**N
     floor = params.source_ratio**N
     rng = np.random.default_rng(np.random.SeedSequence(seed))

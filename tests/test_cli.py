@@ -103,14 +103,40 @@ def test_cauchy_measure_out(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_eval_malformed_line_reports_line_number(tmp_path):
+@pytest.mark.parametrize("mode", ["phi", "inverse", "jacobian"])
+def test_eval_malformed_line_reports_line_number(tmp_path, mode):
     pts = tmp_path / "bad.csv"
     pts.write_text("0.1,0.2\noops\n")
     proc = subprocess.run(
-        BASE + ["eval", "--points", str(pts), "--m", "7"], capture_output=True
+        BASE + ["eval", "--points", str(pts), "--m", "7", "--mode", mode], capture_output=True
     )
     assert proc.returncode == 3
     assert ":2:" in proc.stderr.decode()
+    # the header waits for the first accepted chunk
+    assert proc.stdout == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_out_naming_stdout_keeps_its_append_mode(tmp_path):
+    log = tmp_path / "log.txt"
+    log.write_text("first\n")
+    with open(log, "a") as fh:
+        subprocess.run(
+            BASE + ["params", "--t", "1", "--K", "2", "--m", "7", "--out", "/dev/stdout"],
+            stdout=fh, check=True,
+        )
+    expected = run_cli("params", "--t", "1", "--K", "2", "--m", "7").stdout
+    assert log.read_bytes() == b"first\n" + expected
+
+
+def test_cauchy_rejects_a_layout_over_the_enumeration_cap():
+    # 217**3 atoms exceed the 10**7 cap
+    proc = subprocess.run(
+        BASE + ["cauchy", "--alpha", "0.5", "--K", "2", "--t", "1.9", "--m", "217", "--N", "3"],
+        capture_output=True,
+    )
+    assert proc.returncode == 2
+    assert "10000000" in proc.stderr.decode()
 
 
 def test_eval_non_finite_point_named_by_file_line(tmp_path):

@@ -344,6 +344,12 @@ class TestGenerationDisks:
         with pytest.raises(EnumerationCapError):
             generation_disks(9, "source", params7)
 
+    def test_side_is_source_or_image(self, params7):
+        assert params7.ratio("source") == params7.source_ratio
+        assert params7.ratio("image") == params7.image_ratio
+        with pytest.raises(ParameterError, match="'target'"):
+            generation_centers(1, "target", params7)
+
     def test_nesting(self, params7):
         # child generating disk sits inside its protecting disk, which sits
         # inside the parent generating disk
