@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -372,7 +373,27 @@ class TestLpMassClosedForm:
             lp_mass_closed_form(0.5, params7)
 
 
+#: SHA-256 of ``(estimate, stderr, undefined_fraction)`` from both Monte Carlo
+#: methods at p in {1, 1.5} over four layouts, so that a rewrite of the
+#: sampler must reproduce every bit.  At t = 1.9, m = 217 about a quarter of
+#: the template draws land outside the generating disks, so the stratified
+#: sampler redraws several times per generation.  Captured with NumPy 2.4.6 on
+#: x86-64: a digest that breaks after a NumPy or CPU change, with the sampler
+#: unchanged, is recaptured, not mended.
+LP_MASS_DIGEST = "88aa35d911e85f32fa97290f7ad597c9315b86119fe158231d7d54d39a368ce3"
+
+
 class TestLpMassMonteCarlo:
+    def test_digest(self):
+        h = hashlib.sha256()
+        for t, m in ((1.0, 7), (1.0, 19), (1.0, 100), (1.9, 217)):
+            p = derive_params(t, 2.0, build_packing(m))
+            for method in ("uniform", "stratified"):
+                for pp in (1.0, 1.5):
+                    est = lp_mass_monte_carlo(pp, p, 20000, 5, seed=m, method=method)
+                    h.update(repr((est.estimate, est.stderr, est.undefined_fraction)).encode())
+        assert h.hexdigest() == LP_MASS_DIGEST
+
     def test_k1_estimates_pi(self, params7_k1):
         est = lp_mass_monte_carlo(1.0, params7_k1, 20000, 6, seed=3, method="uniform")
         assert abs(est.estimate - math.pi) <= max(3 * est.stderr, 1e-9)

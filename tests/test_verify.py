@@ -32,6 +32,12 @@ class TestBoxDimension:
         assert abs(est.slope - params13.dim_image) < 0.05
         assert est.r2 >= 0.99
 
+    @pytest.mark.parametrize(
+        "side, counts", [("source", (458, 5868, 76499)), ("image", (542, 6800, 85646))]
+    )
+    def test_counts_pinned(self, params13, side, counts):
+        assert box_dimension(side, params13, 4, seed=1).counts == counts
+
     def test_tuned_t_one_grid_like(self):
         # pick (m, t) so the closed-form dimension is exactly 1 and recover it
         p = derive_params(1.0, 1.0, build_packing(13))
