@@ -37,7 +37,7 @@ class ParameterError(CantorQCError):
     """Rejected input parameters; the message names the violated condition."""
 
 
-class EnumerationCapError(CantorQCError):
+class EnumerationCapError(ParameterError):
     """A generation enumeration would exceed :data:`ENUMERATION_CAP`."""
 
 

@@ -128,17 +128,18 @@ def _open(ifs: "ImageIFS", d: int, zs: np.ndarray, pt: np.ndarray, node: np.ndar
           centre: np.ndarray, grid: _CellGrid | None):
     """The depth-``d+1`` children of each (point, depth-``d`` cluster) pair: all
     ``m`` of them, or those ``grid`` lists for the point's cell in the cluster's
-    frame.  ``pt`` indexes ``zs``, ``node`` numbers clusters in atom order and
-    ``centre`` is the cluster's image of 0."""
+    frame, as the index of each child's pair, its node and its centre.  ``pt``
+    indexes ``zs``, ``node`` numbers clusters in atom order and ``centre`` is
+    the cluster's image of 0."""
     m, scale = ifs.m, ifs.ratio**d
     if grid is None:
         return (
-            np.repeat(pt, m),
+            np.repeat(np.arange(pt.size), m),
             (node[:, None] * m + np.arange(m)).ravel(),
             (centre[:, None] + scale * ifs.centers[None, :]).ravel(),
         )
     pair, j = grid.candidates(_frame_cells(grid, (zs[pt] - centre) / scale, scale))
-    return pt[pair], node[pair] * m + j, centre[pair] + scale * ifs.centers[j]
+    return pair, node[pair] * m + j, centre[pair] + scale * ifs.centers[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,19 +257,22 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def _walk(self, zs: np.ndarray, finish, leaf, levels: int | None = None,
+    def _walk(self, zs: np.ndarray, finish, leaf, tag: int = 1, levels: int | None = None,
               grid: _CellGrid | None = None) -> None:
         """Walk the IFS tree for the points of the flat ``zs``, in chunks whose
         first opening holds at most :data:`_PAIRS` pairs.
 
-        At each depth down to the leaves, clusters of ``m**levels`` atoms (by
-        default the largest of at most :data:`LEAF`), ``finish(d, pt, node,
-        centre)`` settles the (point, cluster) pairs it can and returns the
-        mask of those left, which :func:`_open` opens, through ``grid`` if
-        given.  ``leaf(pt, atoms)`` takes the pairs left at the leaves in
-        blocks of at most :data:`_PAIRS` atoms, ``atoms[i]`` a copy of the leaf
-        of ``pt[i]``.  Without a grid the pairs stay in point order, as
-        :func:`_scatter_add` needs.  A measure of one leaf has no levels.
+        Each (point, cluster) pair carries an integer tag, ``tag`` at the
+        root.  At each depth down to the leaves, clusters of ``m**levels``
+        atoms (by default the largest of at most :data:`LEAF`),
+        ``finish(d, pt, node, centre, tags)`` settles the pairs it can and
+        returns their new tags, 0 (or False) for those settled.  :func:`_open`
+        opens the others, through ``grid`` if given, and their children carry
+        their tag.  ``leaf(pt, atoms, tags)`` takes the pairs left at the
+        leaves in blocks of at most :data:`_PAIRS` atoms, ``atoms[i]`` a copy
+        of the leaf of ``pt[i]``.  Without a grid the pairs stay in point
+        order, as :func:`_scatter_add` needs.  A measure of one leaf has no
+        levels.
         """
         ifs = self._tree
         if ifs is None:
@@ -282,41 +286,68 @@ class DiscreteMeasure:
             pt = np.arange(start, min(start + step, zs.size))
             node = np.zeros(pt.size, dtype=np.intp)
             centre = np.zeros(pt.size, dtype=np.complex128)
+            tags = np.full(pt.size, tag)
             for d in range(depth + 1):
-                keep = finish(d, pt, node, centre)
-                pt, node, centre = pt[keep], node[keep], centre[keep]
+                tags = finish(d, pt, node, centre, tags)
+                keep = tags != 0
+                pt, node, centre, tags = pt[keep], node[keep], centre[keep], tags[keep]
                 if d < depth:
-                    pt, node, centre = _open(ifs, d, zs, pt, node, centre, grid)
+                    pair, node, centre = _open(ifs, d, zs, pt, node, centre, grid)
+                    pt, tags = pt[pair], tags[pair]
             for i in range(0, pt.size, rows):
-                leaf(pt[i : i + rows], leaves[node[i : i + rows]])
+                leaf(pt[i : i + rows], leaves[node[i : i + rows]], tags[i : i + rows])
 
     @property
     def _tree(self) -> ImageIFS | None:
         """The IFS that :meth:`_walk` descends; ``None`` for one leaf."""
         return self.ifs if self.count > LEAF else None
 
-    def _ball_counts(self, centers: np.ndarray, radius: float) -> np.ndarray:
+    def _ball_counts(self, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
         """Atoms in each closed ball ``B(center, radius)``, by the KD-tree test
-        ``dx*dx + dy*dy <= radius*radius``."""
+        ``dx*dx + dy*dy <= radius*radius``: one row per center, one column per
+        radius, from one walk.
+
+        A pair's tag ``lo*(R+1) + hi`` holds the range ``[lo, hi)`` of the
+        ``R`` sorted radii whose balls neither hold its cluster wholly nor
+        miss it wholly at every depth above; only those are settled below.
+        The counts are kept as their changes from each sorted radius to the
+        next, so that a cluster adds its atoms to a whole range at once.
+        """
         centers = np.asarray(centers, dtype=np.complex128).ravel()
-        counts = np.zeros(centers.size, dtype=np.int64)
+        radii = np.asarray(radii, dtype=float)
+        order = np.argsort(radii, kind="stable")
+        r = radii[order]
+        R = r.size
+        changes = np.zeros(centers.size * (R + 1), dtype=np.int64)
         ifs = self._tree
 
-        def finish(d, pt, node, centre):
-            # a cluster wholly inside the ball is counted, one wholly outside dropped
+        def add(pt, lo, hi, n):
+            # n atoms more in the balls of radii [lo, hi) about the centers pt
+            np.add.at(changes, pt * (R + 1) + lo, n)
+            np.add.at(changes, pt * (R + 1) + hi, -n)
+
+        def finish(d, pt, node, centre, tags):
+            # a cluster wholly inside a ball is counted, one wholly outside dropped
+            lo, hi = np.divmod(tags, R + 1)
             k = ifs.generation - d
             dist = np.sqrt(_sq_dist(centers[pt], centre))
             extent = ifs.ratio**d * ifs.radius(k)
             extent = extent + _SLACK * (1.0 + extent + dist)
-            inside = dist + extent <= radius
-            np.add.at(counts, pt[inside], ifs.m**k)
-            return ~inside & (dist - extent <= radius)
+            inside = np.minimum(np.maximum(np.searchsorted(r, dist + extent), lo), hi)
+            add(pt, inside, hi, ifs.m**k)
+            lo = np.maximum(lo, np.searchsorted(r, dist - extent))
+            return np.where(lo < inside, lo * (R + 1) + inside, 0)
 
-        def leaf(pt, atoms):
-            hit = _sq_dist(centers[pt, None], atoms) <= radius * radius
-            np.add.at(counts, pt, np.count_nonzero(hit, axis=1))
+        def leaf(pt, atoms, tags):
+            lo, hi = np.divmod(tags, R + 1)
+            for i in range(lo.min(), hi.max()):
+                rows = np.flatnonzero((lo <= i) & (i < hi))
+                hit = _sq_dist(centers[pt[rows], None], atoms[rows]) <= r[i] * r[i]
+                add(pt[rows], i, i + 1, np.count_nonzero(hit, axis=1))
 
-        self._walk(centers, finish, leaf)
+        self._walk(centers, finish, leaf, tag=R)
+        counts = np.empty((centers.size, R), dtype=np.int64)
+        counts[:, order] = np.cumsum(changes.reshape(-1, R + 1)[:, :R], axis=1)
         return counts
 
     def ball_mass(self, center: complex, radius: float) -> float:
@@ -325,7 +356,7 @@ class DiscreteMeasure:
             inside = _sq_dist(complex(center), self.positions) <= radius * radius
             return float(self.weights[inside].sum())
         # equal weights: the sum of as many weights as atoms inside
-        count = int(self._ball_counts(np.array([complex(center)]), radius)[0])
+        count = int(self._ball_counts(np.array([complex(center)]), np.array([radius]))[0, 0])
         return float(self.weights[:count].sum())
 
     def nearest_atom_distance(self, zs: np.ndarray) -> np.ndarray:
@@ -344,7 +375,7 @@ class DiscreteMeasure:
         bound = np.empty(flat.size)
         ifs = self._tree
 
-        def finish(d, pt, node, centre):
+        def finish(d, pt, node, centre, _tags):
             m, s, N = ifs.m, ifs.ratio, ifs.generation
             z = flat[pt]
             if d == 0:
@@ -369,7 +400,7 @@ class DiscreteMeasure:
             np.minimum.at(best, pt[listed], d2.min(axis=1))
             return keep & ~listed
 
-        def leaf(pt, atoms):
+        def leaf(pt, atoms, _tags):
             np.minimum.at(best, pt, _sq_dist(flat[pt, None], atoms).min(axis=1))
 
         self._walk(flat, finish, leaf, levels=1, grid=None if ifs is None else ifs._reach_grid)
@@ -383,10 +414,10 @@ class DiscreteMeasure:
         if np.unique(self.weights).size > 1:
             raise ParameterError("growth_ratio needs equal atom weights")
         weight = float(self.weights[0])
+        radii = np.asarray(radii, dtype=float)
         best = 0.0
-        for rho in np.asarray(radii, dtype=float):
-            counts = self._ball_counts(centers, rho)
-            best = max(best, float(counts.max()) * weight / rho**self.growth_exponent)
+        for rho, count in zip(radii, self._ball_counts(centers, radii).max(axis=0)):
+            best = max(best, float(count) * weight / rho**self.growth_exponent)
         return best
 
     def to_json_dict(self) -> dict:
@@ -487,7 +518,7 @@ def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
     acc = np.zeros(flat.size, dtype=np.complex128)
     ifs, weight = measure._tree, float(measure.weights[0])
 
-    def finish(d, pt, node, centre):
+    def finish(d, pt, node, centre, _tags):
         # a cluster seen from beyond radius/THETA is summed by its Laurent series
         k, scale = ifs.generation - d, ifs.ratio**d
         u = flat[pt] - centre
@@ -499,7 +530,7 @@ def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
         _scatter_add(acc, pt[far], series * (weight / scale))
         return ~far
 
-    def leaf(pt, atoms):
+    def leaf(pt, atoms, _tags):
         terms = flat[pt][:, None] - atoms
         np.divide(measure.weights[None, : atoms.shape[1]], terms, out=terms)
         _scatter_add(acc, pt, terms.sum(axis=1))

@@ -384,17 +384,29 @@ def _uniform_disk(rng: np.random.Generator, n: int, radius: float = 1.0) -> np.n
 def _template_points(
     rng: np.random.Generator, n: int, params: ConstructionParams
 ) -> np.ndarray:
-    """Uniform draws from the unit disk minus the generating disks."""
+    """Uniform draws from the unit disk minus the generating disks.
+
+    Each round draws the radii and angles of ``_uniform_disk`` for twice the
+    points still missing, but maps and tests only the leading candidates,
+    never more than are still missing at a time, so that the draws after the
+    last one kept cost nothing beyond the generator.
+    """
     out = np.empty(n, dtype=np.complex128)
     got = 0
     inner = params.sigma * params.r
     while got < n:
-        cand = _uniform_disk(rng, max(256, 2 * (n - got)))
-        _, d = params.packing.nearest_center(cand)
-        cand = cand[d >= inner]
-        take = min(n - got, cand.size)
-        out[got : got + take] = cand[:take]
-        got += take
+        size = max(256, 2 * (n - got))
+        rad = rng.uniform(0.0, 1.0, size)
+        ang = rng.uniform(0.0, 2.0 * math.pi, size)
+        start = 0
+        while got < n and start < size:
+            stop = start + (n - got)
+            cand = np.sqrt(rad[start:stop]) * np.exp(1j * ang[start:stop])
+            _, d = params.packing.nearest_center(cand)
+            cand = cand[d >= inner]
+            out[got : got + cand.size] = cand
+            got += cand.size
+            start = stop
     return out
 
 

@@ -23,6 +23,9 @@ from .geometry import (
 )
 from .qcmap import _uniform_disk, jacobian_batch
 
+#: 2**63, the end of the int64 range
+_INT64_END = 2.0**63
+
 MapFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -51,15 +54,30 @@ class DimensionEstimate:
         return asdict(self)
 
 
-def _box_count(pts: np.ndarray, scale: float, offsets: np.ndarray) -> int:
-    """Occupied-box total over several grid offsets (constant factor in the fit)."""
-    xy = np.column_stack([pts.real, pts.imag])
+def _box_count(x: np.ndarray, y: np.ndarray, scale: float, offsets: np.ndarray) -> int:
+    """Occupied-box total over several grid offsets (constant factor in the fit).
+
+    Box ``(i, j)`` gets the key ``(i - i_min) * (j_max - j_min + 1) + (j - j_min)``
+    and the boxes are counted as the changes along the sorted keys.  Where
+    the indices or the keys would not fit in int64, the key is ``i + 1j*j``
+    instead, which sorts by ``(i, j)``: exact as well, but slower.
+    """
     total = 0
-    for off in offsets:
-        ij = np.floor((xy + off) / scale).astype(np.int64)
-        ij -= ij.min(axis=0)
-        key = ij[:, 0] * (ij[:, 1].max() + 1) + ij[:, 1]
-        total += np.unique(key).size
+    for ox, oy in offsets:
+        i = np.floor((x + ox) / scale)
+        j = np.floor((y + oy) / scale)
+        i0, i1, j0, j1 = i.min(), i.max(), j.min(), j.max()
+        fits = -_INT64_END <= min(i0, j0) and max(i1, j1) < _INT64_END
+        if fits:
+            rows = int(j1) - int(j0) + 1
+            fits = (int(i1) - int(i0) + 1) * rows <= _INT64_END
+        if fits:
+            key = (i.astype(np.int64) - int(i0)) * rows
+            key += j.astype(np.int64) - int(j0)
+        else:
+            key = i + 1j * j
+        key.sort()
+        total += 1 + int(np.count_nonzero(key[1:] != key[:-1]))
     return total
 
 
@@ -92,10 +110,11 @@ def box_dimension(
             f"scales must lie within [{gen_radius:.3g}, 1], got [{scales[-1]:.3g}, {scales[0]:.3g}]"
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x, y = centers.real.copy(), centers.imag.copy()
     counts = []
     for s in scales:
         offsets = rng.uniform(0.0, s, size=(32, 2))
-        counts.append(_box_count(centers, s, offsets))
+        counts.append(_box_count(x, y, s, offsets))
     x = np.log(1.0 / np.asarray(scales))
     y = np.log(np.asarray(counts, dtype=float))
     slope, r2 = _loglog_fit(x, y)

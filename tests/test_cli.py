@@ -139,6 +139,17 @@ def test_cauchy_rejects_a_layout_over_the_enumeration_cap():
     assert "10000000" in proc.stderr.decode()
 
 
+@pytest.mark.parametrize("command", ["disks", "dimension"])
+def test_enumeration_past_the_cap_is_a_parameter_rejection(command):
+    # 217**3 disks exceed the 10**7 cap
+    proc = subprocess.run(
+        BASE + [command, "--t", "1.9", "--m", "217", "--N", "3"], capture_output=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("parameter rejection: ")
+    assert "10000000" in proc.stderr.decode()
+
+
 def test_eval_non_finite_point_named_by_file_line(tmp_path):
     pts = tmp_path / "nan.csv"
     rows = [f"{0.0001 * i!r},0.1" for i in range(8200)]

@@ -181,6 +181,13 @@ class TestAtomQueries:
             counts = tree.query_ball_point(pts, rho, return_length=True)
             expected = float(counts.max()) * weight / rho**mu.growth_exponent
             assert mu.growth_ratio(centers, np.array([rho])) == expected
+        # every radius from one walk, in any order and repeated
+        radii = rng.permutation(np.concatenate([np.geomspace(mu.resolution, 2.0, 12), [0.1, 0.1]]))
+        counts = np.column_stack([tree.query_ball_point(pts, rho, return_length=True) for rho in radii])
+        assert np.array_equal(mu._ball_counts(centers, radii), counts)
+        assert mu.growth_ratio(centers, radii) == max(
+            float(c.max()) * weight / rho**mu.growth_exponent for c, rho in zip(counts.T, radii)
+        )
 
     @pytest.mark.parametrize("name", ["criterion-11", "m7-N5", "small", "plain"])
     def test_ball_mass_at_atom_distances(self, tree_measures, name):

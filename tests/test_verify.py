@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,15 @@ from cantorqc import (
     phi_map_fn,
     source_map,
 )
+from cantorqc.verify import _box_count
+
+
+def _reference_box_count(pts, scale, offsets):
+    """Occupied boxes summed over the offsets, with Python's unbounded integers."""
+    return sum(
+        len({(math.floor((z.real + ox) / scale), math.floor((z.imag + oy) / scale)) for z in pts})
+        for ox, oy in offsets.tolist()
+    )
 
 
 class TestBoxDimension:
@@ -37,6 +47,32 @@ class TestBoxDimension:
     )
     def test_counts_pinned(self, params13, side, counts):
         assert box_dimension(side, params13, 4, seed=1).counts == counts
+
+    def test_box_count_matches_reference(self, params7):
+        rng = np.random.default_rng(4)
+        pts = generation_centers(4, "source", params7)
+        # points exactly on box edges, on both sides of the origin, at a power-of-two scale
+        edges = np.add.outer(np.arange(-6, 7), 1j * np.arange(-6, 7)).ravel() / 64
+        for family, scales in ((pts, (0.3, 0.05, 0.007, 1e-4)), (edges, (1 / 64, 1 / 32, 1 / 128))):
+            for s in scales:
+                offsets = np.vstack([[0.0, 0.0], [s / 2, 0.0], rng.uniform(0.0, s, size=(6, 2))])
+                got = _box_count(family.real.copy(), family.imag.copy(), s, offsets)
+                assert got == _reference_box_count(family.tolist(), s, offsets)
+
+    def test_box_count_past_int64_is_exact(self):
+        # at t = 0.05 the finest default scale is about 3e-37, so box indices
+        # reach 1e36 and a key i*(jmax+1)+j does not fit in int64
+        p = derive_params(0.05, 2.0, build_packing(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = box_dimension("source", p, 8, seed=1)
+        rng = np.random.default_rng(np.random.SeedSequence(1))
+        pts = generation_centers(8, "source", p).tolist()
+        expected = tuple(
+            _reference_box_count(pts, s, rng.uniform(0.0, s, size=(32, 2))) for s in est.scales
+        )
+        assert est.scales[-1] < 1e-36
+        assert est.counts == expected
 
     def test_tuned_t_one_grid_like(self):
         # pick (m, t) so the closed-form dimension is exactly 1 and recover it
