@@ -110,11 +110,11 @@ def box_dimension(
             f"scales must lie within [{gen_radius:.3g}, 1], got [{scales[-1]:.3g}, {scales[0]:.3g}]"
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x, y = centers.real.copy(), centers.imag.copy()
+    re, im = centers.real.copy(), centers.imag.copy()
     counts = []
     for s in scales:
         offsets = rng.uniform(0.0, s, size=(32, 2))
-        counts.append(_box_count(x, y, s, offsets))
+        counts.append(_box_count(re, im, s, offsets))
     x = np.log(1.0 / np.asarray(scales))
     y = np.log(np.asarray(counts, dtype=float))
     slope, r2 = _loglog_fit(x, y)
