@@ -340,10 +340,12 @@ class DiscreteMeasure:
 
         def leaf(pt, atoms, tags):
             lo, hi = np.divmod(tags, R + 1)
-            for i in range(lo.min(), hi.max()):
-                rows = np.flatnonzero((lo <= i) & (i < hi))
-                hit = _sq_dist(centers[pt[rows], None], atoms[rows]) <= r[i] * r[i]
-                add(pt[rows], i, i + 1, np.count_nonzero(hit, axis=1))
+            d2 = _sq_dist(centers[pt, None], atoms)
+            while pt.size:
+                # count each pair's lowest radius left, then drop that radius
+                add(pt, lo, lo + 1, (d2 <= (r[lo] * r[lo])[:, None]).sum(axis=1))
+                left = np.flatnonzero(lo + 1 < hi)
+                pt, lo, hi, d2 = pt[left], lo[left] + 1, hi[left], d2[left]
 
         self._walk(centers, finish, leaf, tag=R)
         counts = np.empty((centers.size, R), dtype=np.int64)
