@@ -125,21 +125,21 @@ def _leaf_levels(m: int) -> int:
 
 
 def _open(ifs: "ImageIFS", d: int, zs: np.ndarray, pt: np.ndarray, node: np.ndarray,
-          centre: np.ndarray, grid: _CellGrid | None):
+          centre: np.ndarray, tags: np.ndarray, grid: _CellGrid | None):
     """The depth-``d+1`` children of each (point, depth-``d`` cluster) pair: all
     ``m`` of them, or those ``grid`` lists for the point's cell in the cluster's
-    frame, as the index of each child's pair, its node and its centre.  ``pt``
-    indexes ``zs``, ``node`` numbers clusters in atom order and ``centre`` is
-    the cluster's image of 0."""
+    frame, each with its pair's tag.  ``pt`` indexes ``zs``, ``node`` numbers
+    clusters in atom order and ``centre`` is the cluster's image of 0."""
     m, scale = ifs.m, ifs.ratio**d
     if grid is None:
         return (
-            np.repeat(np.arange(pt.size), m),
+            np.repeat(pt, m),
             (node[:, None] * m + np.arange(m)).ravel(),
             (centre[:, None] + scale * ifs.centers[None, :]).ravel(),
+            np.repeat(tags, m),
         )
     pair, j = grid.candidates(_frame_cells(grid, (zs[pt] - centre) / scale, scale))
-    return pair, node[pair] * m + j, centre[pair] + scale * ifs.centers[j]
+    return pt[pair], node[pair] * m + j, centre[pair] + scale * ifs.centers[j], tags[pair]
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,11 +289,10 @@ class DiscreteMeasure:
             tags = np.full(pt.size, tag)
             for d in range(depth + 1):
                 tags = finish(d, pt, node, centre, tags)
-                keep = tags != 0
+                keep = tags.astype(bool, copy=False)
                 pt, node, centre, tags = pt[keep], node[keep], centre[keep], tags[keep]
                 if d < depth:
-                    pair, node, centre = _open(ifs, d, zs, pt, node, centre, grid)
-                    pt, tags = pt[pair], tags[pair]
+                    pt, node, centre, tags = _open(ifs, d, zs, pt, node, centre, tags, grid)
             for i in range(0, pt.size, rows):
                 leaf(pt[i : i + rows], leaves[node[i : i + rows]], tags[i : i + rows])
 
