@@ -314,7 +314,7 @@ class DiscreteMeasure:
         """
         centers = np.asarray(centers, dtype=np.complex128).ravel()
         radii = np.asarray(radii, dtype=float)
-        order = np.argsort(radii, kind="stable")
+        order = np.argsort(radii)
         r = radii[order]
         R = r.size
         changes = np.zeros(centers.size * (R + 1), dtype=np.int64)
@@ -346,7 +346,10 @@ class DiscreteMeasure:
                 left = np.flatnonzero(lo + 1 < hi)
                 pt, lo, hi, d2 = pt[left], lo[left] + 1, hi[left], d2[left]
 
-        self._walk(centers, finish, leaf, tag=R)
+        live = R - int(np.isnan(r).sum())
+        if live:
+            # NaN radii sort last and hold no atom, as every comparison with them fails
+            self._walk(centers, finish, leaf, tag=live)
         counts = np.empty((centers.size, R), dtype=np.int64)
         counts[:, order] = np.cumsum(changes.reshape(-1, R + 1)[:, :R], axis=1)
         return counts

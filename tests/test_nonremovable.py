@@ -181,10 +181,11 @@ class TestAtomQueries:
             counts = tree.query_ball_point(pts, rho, return_length=True)
             expected = float(counts.max()) * weight / rho**mu.growth_exponent
             assert mu.growth_ratio(centers, np.array([rho])) == expected
-        # every radius from one walk, in any order and repeated
+        # every radius from one walk, in any order and repeated; a NaN radius holds no atom
         radii = rng.permutation(np.concatenate([np.geomspace(mu.resolution, 2.0, 12), [0.1, 0.1]]))
         counts = np.column_stack([tree.query_ball_point(pts, rho, return_length=True) for rho in radii])
-        assert np.array_equal(mu._ball_counts(centers, radii), counts)
+        got = mu._ball_counts(centers, np.append(radii, np.nan))
+        assert np.array_equal(got, np.column_stack([counts, np.zeros(len(centers), dtype=int)]))
         assert mu.growth_ratio(centers, radii) == max(
             float(c.max()) * weight / rho**mu.growth_exponent for c, rho in zip(counts.T, radii)
         )
