@@ -83,28 +83,26 @@ def _is_stdout(path: str) -> bool:
         return False
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(obj, out_path: str | None) -> None:
+    """Write ``obj`` as JSON with sorted keys."""
     with _sink(out_path) as fh:
-        fh.write(text)
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_table(sink, header: str, lines) -> None:
+def _write_table(header: str, lines, out_path: str | None) -> None:
     """Write a CSV table; the header waits for the first line, or stands alone."""
     lines = iter(lines)
-    sink.write(header + next(lines, ""))
-    sink.writelines(lines)
+    with _sink(out_path) as fh:
+        fh.write(header + next(lines, ""))
+        fh.writelines(lines)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _dry_run_payload(args: argparse.Namespace, derived: dict | None) -> str:
+def _dry_run_payload(args: argparse.Namespace, derived: dict | None) -> dict:
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None
     }
     config = {k: (str(v) if isinstance(v, complex) else v) for k, v in config.items()}
-    return _json_text({"command": args.command, "config": config, "derived": derived})
+    return {"command": args.command, "config": config, "derived": derived}
 
 
 def _with_params(cmd):
@@ -140,7 +138,7 @@ def _add_common(parser: argparse.ArgumentParser, *, seed: bool = True, fmt: bool
 
 @_with_params
 def cmd_params(args: argparse.Namespace, params: ConstructionParams) -> None:
-    _emit(_json_text(params.to_json_dict()), args.out)
+    _emit(params.to_json_dict(), args.out)
 
 
 @_with_params
@@ -148,18 +146,15 @@ def cmd_disks(args: argparse.Namespace, params: ConstructionParams) -> None:
     centers = generation_centers(args.N, args.side, params)
     if args.format == "csv":
         rows = (f"{float(z.real)!r},{float(z.imag)!r}\n" for z in centers)
-        with _sink(args.out) as sink:
-            _write_table(sink, "re,im\n", rows)
+        _write_table("re,im\n", rows, args.out)
     else:
         _emit(
-            _json_text(
-                {
-                    "side": args.side,
-                    "N": args.N,
-                    "radius": params.ratio(args.side) ** args.N,
-                    "centers": [[z.real, z.imag] for z in centers],
-                }
-            ),
+            {
+                "side": args.side,
+                "N": args.N,
+                "radius": params.ratio(args.side) ** args.N,
+                "centers": [[z.real, z.imag] for z in centers],
+            },
             args.out,
         )
 
@@ -214,8 +209,7 @@ def cmd_eval(args: argparse.Namespace, params: ConstructionParams) -> None:
 
     header = "re,im,jacobian\n" if args.mode == "jacobian" else _MAP_HEADER
     lines = chain.from_iterable(map(rows, _iter_point_chunks(args.points)))
-    with _sink(args.out) as sink:
-        _write_table(sink, header, lines)
+    _write_table(header, lines, args.out)
 
 
 @_with_params
@@ -227,7 +221,7 @@ def cmd_lp_mass(args: argparse.Namespace, params: ConstructionParams) -> None:
             args.p, params, args.samples, args.depth, args.seed, method=args.method
         )
         payload["monte_carlo"] = mc.to_json_dict()
-    _emit(_json_text(payload), args.out)
+    _emit(payload, args.out)
 
 
 @_with_params
@@ -236,12 +230,11 @@ def cmd_dimension(args: argparse.Namespace, params: ConstructionParams) -> None:
     reference = params.t if args.side == "source" else params.dim_image
     if args.format == "csv":
         rows = (f"{float(s)!r},{int(c)}\n" for s, c in zip(est.scales, est.counts))
-        with _sink(args.out) as sink:
-            _write_table(sink, "scale,count\n", rows)
+        _write_table("scale,count\n", rows, args.out)
     else:
         payload = est.to_json_dict()
         payload.update({"side": args.side, "N": args.N, "reference": reference})
-        _emit(_json_text(payload), args.out)
+        _emit(payload, args.out)
 
 
 @_with_params
@@ -252,20 +245,19 @@ def cmd_holder(args: argparse.Namespace, params: ConstructionParams) -> None:
     if args.format == "csv":
         sep, ratio = verify.holder_pair_table(map_fn, target, config, seed=args.seed)
         rows = (f"{float(s)!r},{float(q)!r}\n" for s, q in zip(sep, ratio))
-        with _sink(args.out) as sink:
-            _write_table(sink, "separation,ratio\n", rows)
+        _write_table("separation,ratio\n", rows, args.out)
         return
     report = verify.holder_estimate(map_fn, target, config, seed=args.seed)
     payload = report.to_json_dict()
     payload["holder_exp"] = params.holder_exp
-    _emit(_json_text(payload), args.out)
+    _emit(payload, args.out)
 
 
 @_with_params
 def cmd_packing(args: argparse.Namespace, params: ConstructionParams) -> None:
     s = args.s if args.s is not None else params.t
     report = verify.packing_condition_check(args.N, s, args.trials, args.seed, params)
-    _emit(_json_text(report.to_json_dict()), args.out)
+    _emit(report.to_json_dict(), args.out)
 
 
 @_with_params
@@ -277,7 +269,7 @@ def cmd_growth(args: argparse.Namespace, params: ConstructionParams) -> None:
     payload["generation_disk_constants"] = list(
         verify.generation_disk_growth(params, tuple(range(1, args.N + 1)))
     )
-    _emit(_json_text(payload), args.out)
+    _emit(payload, args.out)
 
 
 def cmd_cauchy(args: argparse.Namespace) -> None:
@@ -294,10 +286,10 @@ def cmd_cauchy(args: argparse.Namespace) -> None:
         args.alpha, args.K, args.t, N=args.N, depth_max=args.depth, m=args.m, seed=args.seed
     )
     if args.measure_out:
-        _emit(_json_text(spec.measure.to_json_dict()), args.measure_out)
+        _emit(spec.measure.to_json_dict(), args.measure_out)
     report = nonremovable.verify_counterexample(spec, seed=args.seed)
     payload = {"spec": spec.to_json_dict(), "report": report.to_json_dict()}
-    _emit(_json_text(payload), args.out)
+    _emit(payload, args.out)
 
 
 def _parse_hosts(text: str) -> list[tuple[complex, float]]:
@@ -329,7 +321,7 @@ def cmd_glue(args: argparse.Namespace) -> None:
         _emit(_dry_run_payload(args, spec.to_json_dict()), args.out)
         return
     if not args.points:
-        _emit(_json_text(spec.to_json_dict()), args.out)
+        _emit(spec.to_json_dict(), args.out)
         return
 
     def rows(pts):
@@ -343,8 +335,7 @@ def cmd_glue(args: argparse.Namespace) -> None:
         return _map_rows(pts, values, depths, errs)
 
     lines = chain.from_iterable(map(rows, _iter_point_chunks(args.points)))
-    with _sink(args.out) as sink:
-        _write_table(sink, _MAP_HEADER, lines)
+    _write_table(_MAP_HEADER, lines, args.out)
 
 
 # ---------------------------------------------------------------------------

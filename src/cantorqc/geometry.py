@@ -77,13 +77,6 @@ class Similarity:
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.a + self.b * np.asarray(z)
 
-    def compose(self, other: "Similarity") -> "Similarity":
-        """Return ``self o other`` (apply ``other`` first)."""
-        return Similarity(self.a + self.b * other.a, self.b * other.b)
-
-    def inverse(self) -> "Similarity":
-        return Similarity(-self.a / self.b, 1 / self.b)
-
     @property
     def scale(self) -> float:
         return abs(self.b)
@@ -229,6 +222,16 @@ _CELLS_PER_CENTER = 8
 #: Point-candidate pairs, or points of a block, held at once by a lookup: a
 #: few hundred kB of temporaries.
 _PAIRS = 1 << 13
+
+
+def _sq_dist(z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``dx*dx + dy*dy`` between broadcast points and centres, as a KD-tree sums it."""
+    d2 = z.real - p.real
+    dy = z.imag - p.imag
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return d2
 
 
 def _brute_nearest(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -394,11 +397,7 @@ class _CellGrid:
             p, cell = pts.take(at), -2 - idx.take(at)
             cand = self.table.take(cell, axis=0)
             c = self.padded.take(cand)
-            d2 = p.real[:, None] - c.real
-            dy = p.imag[:, None] - c.imag
-            d2 *= d2
-            dy *= dy
-            d2 += dy
+            d2 = _sq_dist(p[:, None], c)
             best = np.argmin(d2, axis=1)
             flat = best + np.arange(0, p.size * width, width)
             close = d2 <= (d2.ravel().take(flat) * (1.0 + _TIE_RTOL))[:, None]
@@ -516,20 +515,6 @@ class ConstructionParams:
         if side not in ("source", "image"):
             raise ParameterError(f"side must be 'source' or 'image', got {side!r}")
         return self.source_ratio if side == "source" else self.image_ratio
-
-    @property
-    def critical_p(self) -> float:
-        """Integrability threshold ``K/(K-1)`` of the Jacobian (inf when K=1)."""
-        return math.inf if self.K == 1.0 else self.K / (self.K - 1.0)
-
-    def source_similarity(self, i: int) -> Similarity:
-        return Similarity(self.packing.centers[i], complex(self.source_ratio))
-
-    def image_similarity(self, i: int) -> Similarity:
-        return Similarity(self.packing.centers[i], complex(self.image_ratio))
-
-    def source_radius(self, n: int) -> float:
-        return self.source_ratio**n
 
     def image_radius(self, n: int) -> float:
         return self.image_ratio**n

@@ -46,13 +46,14 @@ import numpy as np
 from .geometry import (
     ENUMERATION_CAP,
     _CellGrid,
+    _sq_dist,
     ConstructionParams,
     ParameterError,
     build_packing,
     derive_params,
     generation_centers,
 )
-from .qcmap import phi_batch
+from .qcmap import _uniform_disk, phi_batch
 from .verify import HolderConfig, HolderReport, holder_estimate
 
 #: Centered hexagonal numbers ``1 + 3k(k+1)``, tried in order when auto-selecting
@@ -96,16 +97,6 @@ def _series_order(ratio: float) -> int:
 #: summed to the order its upper ratio needs.
 _BAND_RATIOS = THETA / 2.0 ** np.arange(8)
 _BAND_ORDERS = tuple(min(P, _series_order(float(r))) for r in _BAND_RATIOS)
-
-
-def _sq_dist(z: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``dx*dx + dy*dy`` between broadcast points and atoms, as a KD-tree sums it."""
-    d2 = z.real - p.real
-    dy = z.imag - p.imag
-    d2 *= d2
-    dy *= dy
-    d2 += dy
-    return d2
 
 
 def _frame_cells(grid: _CellGrid, u: np.ndarray, scale: float) -> np.ndarray:
@@ -469,10 +460,7 @@ def frostman_measure(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_atoms = min(200, centers.size)
     picked = centers[rng.choice(centers.size, size=n_atoms, replace=False)]
-    rad = np.sqrt(rng.uniform(0.0, 1.0, 200))
-    ang = rng.uniform(0.0, 2.0 * math.pi, 200)
-    random_centers = rad * np.exp(1j * ang)
-    ball_centers = np.concatenate([picked, random_centers])
+    ball_centers = np.concatenate([picked, _uniform_disk(rng, 200)])
     radii = np.geomspace(resolution, 2.0, 12)
     return replace(measure, growth_constant=measure.growth_ratio(ball_centers, radii))
 
@@ -631,6 +619,9 @@ def build_counterexample(
     """
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    if N < 1:
+        # a generation-0 measure leaves no grid point two resolutions from its atom
+        raise ParameterError(f"measure generation N must be >= 1, got {N}")
     threshold = removability_threshold(alpha, K)
     if not t > threshold:
         raise ParameterError(

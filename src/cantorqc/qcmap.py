@@ -381,6 +381,16 @@ def _uniform_disk(rng: np.random.Generator, n: int, radius: float = 1.0) -> np.n
     return rad * np.exp(1j * ang)
 
 
+def _jacobian_powers(
+    z: np.ndarray, params: ConstructionParams, depth_max: int, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``J(z)**p`` with undefined (unresolved or seam) draws set to 0, and the
+    mask of the defined draws."""
+    jac = jacobian_batch(z, params, depth_max)
+    defined = np.isfinite(jac)
+    return np.where(defined, jac, 0.0) ** p * defined, defined
+
+
 def _template_points(
     rng: np.random.Generator, n: int, params: ConstructionParams
 ) -> np.ndarray:
@@ -439,9 +449,7 @@ def lp_mass_monte_carlo(
     if method == "uniform":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         z = _uniform_disk(rng, samples)
-        jac = jacobian_batch(z, params, depth_max)
-        defined = np.isfinite(jac)
-        vals = np.where(defined, jac, 0.0) ** p * defined
+        vals, defined = _jacobian_powers(z, params, depth_max, p)
         estimate = math.pi * float(vals.mean())
         stderr = math.pi * float(vals.std(ddof=1)) / math.sqrt(samples)
         return LpMassEstimate(
@@ -482,10 +490,8 @@ def lp_mass_monte_carlo(
             z = a + scale * u
         else:
             z = u
-        jac = jacobian_batch(z, params, depth_max)
-        defined = np.isfinite(jac)
+        vals, defined = _jacobian_powers(z, params, depth_max, p)
         n_undefined += int((~defined).sum())
-        vals = np.where(defined, jac, 0.0) ** p * defined
         area_k = template_area * (params.c_m * params.sigma**2) ** k
         estimate += area_k * float(vals.mean())
         variance += (area_k**2) * float(vals.var(ddof=1)) / n_k if n_k > 1 else 0.0

@@ -21,7 +21,7 @@ from .geometry import (
     _chain_offsets,
     generation_centers,
 )
-from .qcmap import _uniform_disk, jacobian_batch
+from .qcmap import _jacobian_powers, _uniform_disk
 
 #: 2**63, the end of the int64 range
 _INT64_END = 2.0**63
@@ -145,6 +145,12 @@ class HolderConfig:
     adversarial_offset: complex = 0j
     annulus_levels: int = 2
     annulus_disks: int = 12
+
+    def __post_init__(self) -> None:
+        for name in ("n_uniform", "n_stratified", "adversarial_depth",
+                     "adversarial_per_generation", "annulus_levels", "annulus_disks"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def scaled(self, factor: float) -> "HolderConfig":
         """Same plan with the random sample counts multiplied by ``factor``."""
@@ -353,6 +359,8 @@ def packing_condition_check(
     t = params.t
     if s < t - 1e-12:
         raise ParameterError(f"packing exponent s = {s} must be >= t = {t}")
+    if trials < 0:
+        raise ParameterError(f"trials must be >= 0, got {trials}")
     centers = generation_centers(N, "source", params)
     g_diam = 2.0 * params.source_ratio**N
     floor = params.source_ratio**N
@@ -419,6 +427,10 @@ def integral_growth_check(
     ``diam**(2t/t')``.  ``c_cap`` flags disks whose normalized value exceeds
     ``c_cap * (1 + 3 * stderr_rel)``.
     """
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if mc_samples < 2:
+        raise ParameterError(f"mc_samples (draws per disk) must be >= 2, got {mc_samples}")
     exponent = 2.0 * params.t / params.t_prime
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     disk_centers = _uniform_disk(rng, trials, radius=1.5)
@@ -430,9 +442,7 @@ def integral_growth_check(
     flagged = 0
     for c, diam in zip(disk_centers, diams):
         pts = c + _uniform_disk(rng, mc_samples, radius=diam / 2.0)
-        jac = jacobian_batch(pts, params, depth_max=depth)
-        defined = np.isfinite(jac)
-        vals = np.where(defined, jac, 0.0) * defined
+        vals, defined = _jacobian_powers(pts, params, depth, 1.0)
         area = math.pi * (diam / 2.0) ** 2
         est = area * float(vals.mean())
         stderr = area * float(vals.std(ddof=1)) / math.sqrt(mc_samples)

@@ -304,6 +304,27 @@ def test_format_is_a_usage_error_where_nothing_reads_it(argv, capsys):
     assert err.startswith("usage: cantorqc") and "unrecognized arguments: --format csv" in err
 
 
+_BAD_COUNTS = [
+    ("growth --m 7 --trials -2", "trials must be >= 1, got -2"),
+    ("growth --m 7 --trials 0", "trials must be >= 1, got 0"),
+    ("growth --m 7 --samples 0", "mc_samples (draws per disk) must be >= 2, got 0"),
+    ("growth --m 7 --samples 1", "mc_samples (draws per disk) must be >= 2, got 1"),
+    ("packing --m 7 --trials -3", "trials must be >= 0, got -3"),
+    ("holder --m 7 --depth-pairs -1", "adversarial_depth must be >= 0, got -1"),
+    ("cauchy --alpha 0.5 --K 1 --t 1.6 --N 0", "measure generation N must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, condition", _BAD_COUNTS, ids=[a for a, _ in _BAD_COUNTS])
+def test_counts_that_certify_nothing_are_rejected(argv, condition, capsys):
+    # a negative count would crash in NumPy; no trial, or one draw per disk, certifies nothing
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("parameter rejection: ") and condition in err
+    assert "Traceback" not in err
+
+
 def test_lp_mass_p1_is_pi():
     proc = run_cli("lp-mass", "--p", "1", "--m", "100", "--t", "1", "--K", "2")
     payload = json.loads(proc.stdout)

@@ -22,26 +22,8 @@ from cantorqc import (
 from cantorqc.geometry import _REFINE, _CellGrid, _rows
 from descent import descents
 
-finite_complex = st.builds(
-    complex,
-    st.floats(-10, 10, allow_nan=False),
-    st.floats(-10, 10, allow_nan=False),
-)
-nonzero_complex = finite_complex.filter(lambda z: abs(z) > 1e-3)
-
 
 class TestSimilarity:
-    @given(finite_complex, nonzero_complex, finite_complex)
-    def test_compose_matches_sequential_application(self, a, b, z):
-        f = Similarity(a, b)
-        g = Similarity(b, a if a != 0 else 1 + 0j)
-        assert f.compose(g)(z) == pytest.approx(f(g(z)))
-
-    @given(finite_complex, nonzero_complex, finite_complex)
-    def test_inverse_round_trip(self, a, b, z):
-        f = Similarity(a, b)
-        assert f.inverse()(f(z)) == pytest.approx(z, abs=1e-9)
-
     def test_unit_disk_image(self):
         f = Similarity(1 + 1j, 0.5j)
         img = f.unit_disk_image

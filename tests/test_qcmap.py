@@ -274,6 +274,18 @@ class TestJacobian:
         assert jacobian(zi + params7.r, params7) is None
         assert jacobian(zi + params7.sigma * params7.r, params7) is None
 
+    def test_seam_band_is_undefined(self, params7):
+        # the band is SEAM_RTOL = 1e-12 wide, relative to the seam circle's radius
+        zi = complex(params7.packing.centers[1])
+        ring = np.exp(1j * (0.1 + np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)))
+        for radius in (params7.r, params7.sigma * params7.r):
+            for rel, defined in ((5e-13, False), (2e-12, True)):
+                for side in (-1.0, 1.0):
+                    z = zi + radius * (1.0 + side * rel) * ring
+                    assert (np.isfinite(jacobian_batch(z, params7)) == defined).all()
+                    for w in z:
+                        assert (jacobian(complex(w), params7) is not None) == defined
+
     def test_depth_exhaustion_returns_none(self, params7):
         assert jacobian(0j, params7, depth_max=5) is None
 
@@ -404,6 +416,17 @@ class TestLpMassMonteCarlo:
         est = lp_mass_monte_carlo(1.0, params100, 10**5, 6, seed=7)
         assert abs(est.estimate - ref) <= max(4 * est.stderr, 0.01 * ref)
         assert est.undefined_fraction == 0.0
+
+    def test_stratified_stderr_matches_the_spread(self, params7):
+        # over fixed seeds, z = (estimate - truncated closed form) / stderr has
+        # a root mean square near 1 (40 draws: 1 +- 0.11 for a unit normal)
+        depth = 4
+        ref = lp_mass_closed_form(1.5, params7, n_max=depth).partial_sums[depth - 1]
+        z = []
+        for seed in range(40):
+            est = lp_mass_monte_carlo(1.5, params7, 2000, depth, seed=seed)
+            z.append((est.estimate - ref) / est.stderr)
+        assert 0.7 <= math.sqrt(np.mean(np.square(z))) <= 1.4
 
     def test_uniform_undefined_fraction_bound(self, params7):
         depth = 2

@@ -146,6 +146,33 @@ class TestHolder:
         rep = holder_estimate(phi_map_fn(params7, depth_max=1), 0.75, cfg, seed=2)
         assert rep.excluded_pairs > 0
 
+    def test_max_ratio_and_exclusion_follow_the_recorded_pairs(self, params7):
+        # at depth 4 many pairs carry a truncation bound; the report must agree
+        # with the pairs the map was called on, recomputed here from scratch
+        calls = []
+        map_fn = phi_map_fn(params7, depth_max=4)
+
+        def recording(z):
+            values, errs = map_fn(z)
+            calls.append((z, values, errs))
+            return values, errs
+
+        alpha = params7.holder_exp
+        rep = holder_estimate(recording, alpha, HolderConfig(params=params7), seed=1)
+        (z1, v1, e1), (z2, v2, e2) = calls
+        finite = np.isfinite(v1) & np.isfinite(v2) & np.isfinite(e1) & np.isfinite(e2)
+        sep = np.abs(z1 - z2)[finite]
+        diff = np.abs(v1 - v2)[finite]
+        bound = (e1 + e2)[finite]
+        ratio = (diff + bound) / sep**alpha
+        assert np.count_nonzero(bound > 0.0) >= 100
+        # the bounds decide both the maximum and which pairs are excluded
+        assert ratio.max() > 2.0 * (diff / sep**alpha).max()
+        assert np.count_nonzero((bound > 0.1 * diff) & (bound <= 10.0 * diff)) >= 100
+        assert rep.max_ratio == ratio.max()
+        certain = (diff > 0.0) & (bound <= 0.1 * diff)
+        assert rep.excluded_pairs == np.count_nonzero(~finite) + np.count_nonzero(~certain)
+
 
 def test_holder_pair_table_csv_columns(params7):
     from cantorqc.verify import holder_pair_table
