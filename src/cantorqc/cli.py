@@ -16,6 +16,7 @@ import os
 import stat
 import sys
 import tempfile
+from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
@@ -216,11 +217,11 @@ def cmd_eval(args: argparse.Namespace, params: ConstructionParams) -> None:
 def cmd_lp_mass(args: argparse.Namespace, params: ConstructionParams) -> None:
     closed = qcmap.lp_mass_closed_form(args.p, params, n_max=args.n_max)
     payload = {"closed_form": closed.to_json_dict()}
-    if args.samples > 0:
+    if args.samples:
         mc = qcmap.lp_mass_monte_carlo(
             args.p, params, args.samples, args.depth, args.seed, method=args.method
         )
-        payload["monte_carlo"] = mc.to_json_dict()
+        payload["monte_carlo"] = asdict(mc)
     _emit(payload, args.out)
 
 
@@ -232,7 +233,7 @@ def cmd_dimension(args: argparse.Namespace, params: ConstructionParams) -> None:
         rows = (f"{float(s)!r},{int(c)}\n" for s, c in zip(est.scales, est.counts))
         _write_table("scale,count\n", rows, args.out)
     else:
-        payload = est.to_json_dict()
+        payload = asdict(est)
         payload.update({"side": args.side, "N": args.N, "reference": reference})
         _emit(payload, args.out)
 
@@ -248,7 +249,7 @@ def cmd_holder(args: argparse.Namespace, params: ConstructionParams) -> None:
         _write_table("separation,ratio\n", rows, args.out)
         return
     report = verify.holder_estimate(map_fn, target, config, seed=args.seed)
-    payload = report.to_json_dict()
+    payload = asdict(report)
     payload["holder_exp"] = params.holder_exp
     _emit(payload, args.out)
 
@@ -257,15 +258,17 @@ def cmd_holder(args: argparse.Namespace, params: ConstructionParams) -> None:
 def cmd_packing(args: argparse.Namespace, params: ConstructionParams) -> None:
     s = args.s if args.s is not None else params.t
     report = verify.packing_condition_check(args.N, s, args.trials, args.seed, params)
-    _emit(report.to_json_dict(), args.out)
+    _emit(asdict(report), args.out)
 
 
 @_with_params
 def cmd_growth(args: argparse.Namespace, params: ConstructionParams) -> None:
+    if args.N < 0:
+        raise ParameterError(f"growth --N must be >= 0, got {args.N}")
     report = verify.integral_growth_check(
         args.trials, args.seed, params, args.depth, args.samples
     )
-    payload = report.to_json_dict()
+    payload = asdict(report)
     payload["generation_disk_constants"] = list(
         verify.generation_disk_growth(params, tuple(range(1, args.N + 1)))
     )
@@ -288,7 +291,7 @@ def cmd_cauchy(args: argparse.Namespace) -> None:
     if args.measure_out:
         _emit(spec.measure.to_json_dict(), args.measure_out)
     report = nonremovable.verify_counterexample(spec, seed=args.seed)
-    payload = {"spec": spec.to_json_dict(), "report": report.to_json_dict()}
+    payload = {"spec": spec.to_json_dict(), "report": asdict(report)}
     _emit(payload, args.out)
 
 

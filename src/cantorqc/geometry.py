@@ -71,11 +71,8 @@ class Similarity:
             if not math.isfinite(part):
                 raise ParameterError("similarity coefficients must be finite")
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z: complex | np.ndarray) -> complex | np.ndarray:
         return self.a + self.b * z
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        return self.a + self.b * np.asarray(z)
 
     @property
     def scale(self) -> float:
@@ -177,25 +174,24 @@ class DiskPacking:
             raise PackingError("packing is empty")
         if np.max(np.abs(self.centers)) + self.r >= 1.0:
             raise PackingError("a disk escapes the open unit disk")
-        if self.m > 1:
-            # pairs k apart in x order; once every such pair is farther apart
-            # in x than the closest pair found, so are all pairs further apart
-            order = np.argsort(self.centers.real)
-            x, y = self.centers.real[order], self.centers.imag[order]
-            gap2 = math.inf
-            for k in range(1, self.m):
-                dx = x[k:] - x[:-k]
-                nearest_x = float(dx.min())
-                if nearest_x * nearest_x >= gap2:
-                    break
-                dy = y[k:] - y[:-k]
-                gap2 = min(gap2, float((dx * dx + dy * dy).min()))
-            min_gap = math.sqrt(gap2)
-            if min_gap <= 2 * self.r:
-                raise PackingError(
-                    f"closed disks overlap: min center distance {min_gap:.6g} "
-                    f"<= 2r = {2 * self.r:.6g}"
-                )
+        # pairs k apart in x order; once every such pair is farther apart
+        # in x than the closest pair found, so are all pairs further apart
+        order = np.argsort(self.centers.real)
+        x, y = self.centers.real[order], self.centers.imag[order]
+        gap2 = math.inf
+        for k in range(1, self.m):
+            dx = x[k:] - x[:-k]
+            nearest_x = float(dx.min())
+            if nearest_x * nearest_x >= gap2:
+                break
+            dy = y[k:] - y[:-k]
+            gap2 = min(gap2, float((dx * dx + dy * dy).min()))
+        min_gap = math.sqrt(gap2)
+        if min_gap <= 2 * self.r:
+            raise PackingError(
+                f"closed disks overlap: min center distance {min_gap:.6g} "
+                f"<= 2r = {2 * self.r:.6g}"
+            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -449,9 +445,6 @@ def build_packing(m: int) -> DiskPacking:
     """
     if m < 1:
         raise ParameterError(f"need m >= 1 disks, got {m}")
-    if m == 1:
-        # degenerate layout: a single disk at the origin
-        return DiskPacking(centers=np.array([0j]), r=RADIUS_SAFETY)
     lattice = _hex_lattice(m)
     reach = float(np.max(np.abs(lattice)))
     scale = 1.0 / (reach + 0.5)

@@ -38,7 +38,7 @@ enumerated.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -202,13 +202,13 @@ class ImageIFS:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Weighted atoms with a power-law growth certificate.
+    """Equally weighted atoms with a power-law growth certificate.
 
     ``measure(B(z, rho)) <= growth_constant * rho**growth_exponent`` was
     checked on sampled balls with ``rho >= resolution``; nothing is claimed
-    below that scale floor.  ``ifs``, when given, generated the atoms (equal
-    weights, :func:`generation_centers` order); the Cauchy transform then
-    descends its tree instead of summing every atom.
+    below that scale floor.  ``ifs``, when given, generated the atoms (in
+    :func:`generation_centers` order); the Cauchy transform then descends
+    its tree instead of summing every atom.
     """
 
     positions: np.ndarray
@@ -231,14 +231,13 @@ class DiscreteMeasure:
             raise ParameterError("a measure needs at least one atom")
         if not (weights > 0).all():
             raise ParameterError("all atom weights must be positive")
-        if self.ifs is not None:
-            if positions.size != self.ifs.m**self.ifs.generation:
-                raise ParameterError(
-                    f"an IFS of {self.ifs.m} maps at generation {self.ifs.generation} "
-                    f"places {self.ifs.m**self.ifs.generation} atoms, got {positions.size}"
-                )
-            if (weights != weights[0]).any():
-                raise ParameterError("a measure with an IFS needs equal atom weights")
+        if (weights != weights[0]).any():
+            raise ParameterError("a measure needs equal atom weights")
+        if self.ifs is not None and positions.size != self.ifs.m**self.ifs.generation:
+            raise ParameterError(
+                f"an IFS of {self.ifs.m} maps at generation {self.ifs.generation} "
+                f"places {self.ifs.m**self.ifs.generation} atoms, got {positions.size}"
+            )
 
     @property
     def count(self) -> int:
@@ -346,11 +345,8 @@ class DiscreteMeasure:
         return counts
 
     def ball_mass(self, center: complex, radius: float) -> float:
-        """Mass of the closed ball ``B(center, radius)``."""
-        if (self.weights != self.weights[0]).any():
-            inside = _sq_dist(complex(center), self.positions) <= radius * radius
-            return float(self.weights[inside].sum())
-        # equal weights: the sum of as many weights as atoms inside
+        """Mass of the closed ball ``B(center, radius)``: the sum of as many
+        weights as atoms inside."""
         count = int(self._ball_counts(np.array([complex(center)]), np.array([radius]))[0, 0])
         return float(self.weights[:count].sum())
 
@@ -402,12 +398,8 @@ class DiscreteMeasure:
         return np.sqrt(best).reshape(zs.shape)
 
     def growth_ratio(self, centers: np.ndarray, radii: np.ndarray) -> float:
-        """Max of ``mass(B)/rho**s`` over all (center, radius) combinations.
-
-        Balls are weighed by counting atoms, so the weights must be equal.
-        """
-        if np.unique(self.weights).size > 1:
-            raise ParameterError("growth_ratio needs equal atom weights")
+        """Max of ``mass(B)/rho**s`` over all (center, radius) combinations,
+        each ball weighed by counting its atoms."""
         weight = float(self.weights[0])
         radii = np.asarray(radii, dtype=float)
         best = 0.0
@@ -524,7 +516,7 @@ def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
 
     def leaf(pt, atoms, _tags):
         terms = flat[pt][:, None] - atoms
-        np.divide(measure.weights[None, : atoms.shape[1]], terms, out=terms)
+        np.divide(weight, terms, out=terms)
         _scatter_add(acc, pt, terms.sum(axis=1))
 
     measure._walk(flat, finish, leaf)
@@ -697,9 +689,6 @@ class CounterexampleReport:
     residue_error_near: float
     flagged_pairs: int
     scale_floor: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _f_map_fn(spec: CounterexampleSpec):

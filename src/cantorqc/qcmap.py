@@ -371,9 +371,6 @@ class LpMassEstimate:
     undefined_fraction: float
     excluded_area: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def _uniform_disk(rng: np.random.Generator, n: int, radius: float = 1.0) -> np.ndarray:
     rad = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
@@ -436,75 +433,66 @@ def lp_mass_monte_carlo(
     point pushed through a random chain of source similarities), which removes
     the between-generation variance; the Jacobian itself is still evaluated
     through the production recursion.  Unresolved or seam draws are excluded
-    and their exact total area is reported.
+    and their exact total area is reported.  A standard error needs two draws
+    from the disk, or from every generation: ``samples >= 2`` for the
+    uniform method, ``samples >= 2*depth_max`` for the stratified one.
     """
-    if samples < 1:
-        raise ParameterError(f"samples must be >= 1, got {samples}")
     if p < 1.0:
         raise ParameterError(f"p must be >= 1, got {p}")
     if depth_max < 1:
         raise ParameterError(f"depth_max must be >= 1, got {depth_max}")
-    excluded = unresolved_area(params, depth_max)
+    if method not in ("uniform", "stratified"):
+        raise ParameterError(f"unknown method {method!r}, expected 'uniform' or 'stratified'")
+    if method == "uniform" and samples < 2:
+        raise ParameterError(f"uniform samples must be >= 2, got {samples}")
+    if method == "stratified" and samples < 2 * depth_max:
+        raise ParameterError(
+            f"stratified samples must be >= 2*depth_max = {2 * depth_max}, got {samples}"
+        )
 
     if method == "uniform":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        z = _uniform_disk(rng, samples)
-        vals, defined = _jacobian_powers(z, params, depth_max, p)
+        vals, defined = _jacobian_powers(_uniform_disk(rng, samples), params, depth_max, p)
         estimate = math.pi * float(vals.mean())
         stderr = math.pi * float(vals.std(ddof=1)) / math.sqrt(samples)
-        return LpMassEstimate(
-            p=float(p),
-            estimate=estimate,
-            stderr=stderr,
-            samples=samples,
-            depth_max=depth_max,
-            seed=seed,
-            method=method,
-            undefined_fraction=1.0 - float(defined.mean()),
-            excluded_area=excluded,
-        )
-
-    if method != "stratified":
-        raise ParameterError(f"unknown method {method!r}, expected 'uniform' or 'stratified'")
-
-    m = params.m
-    sr = params.source_ratio
-    centers = params.packing.centers
-    template_area = math.pi * (1.0 - params.c_m * params.sigma**2)
-    base = samples // depth_max
-    extra = samples % depth_max
-    seq = np.random.SeedSequence(seed)
-    streams = seq.spawn(depth_max)
-
-    estimate = 0.0
-    variance = 0.0
-    n_undefined = 0
-    for k in range(depth_max):
-        n_k = base + (1 if k < extra else 0)
-        if n_k == 0:
-            continue
-        rng = np.random.default_rng(streams[k])
-        u = _template_points(rng, n_k, params)
-        if k > 0:
-            a, scale = _chain_offsets(rng.integers(0, m, size=(n_k, k)), centers, sr)
-            z = a + scale * u
-        else:
-            z = u
-        vals, defined = _jacobian_powers(z, params, depth_max, p)
-        n_undefined += int((~defined).sum())
-        area_k = template_area * (params.c_m * params.sigma**2) ** k
-        estimate += area_k * float(vals.mean())
-        variance += (area_k**2) * float(vals.var(ddof=1)) / n_k if n_k > 1 else 0.0
+        undefined = 1.0 - float(defined.mean())
+    else:
+        m = params.m
+        sr = params.source_ratio
+        centers = params.packing.centers
+        template_area = math.pi * (1.0 - params.c_m * params.sigma**2)
+        base = samples // depth_max
+        extra = samples % depth_max
+        streams = np.random.SeedSequence(seed).spawn(depth_max)
+        estimate = 0.0
+        variance = 0.0
+        n_undefined = 0
+        for k in range(depth_max):
+            n_k = base + (1 if k < extra else 0)
+            rng = np.random.default_rng(streams[k])
+            u = _template_points(rng, n_k, params)
+            if k > 0:
+                a, scale = _chain_offsets(rng.integers(0, m, size=(n_k, k)), centers, sr)
+                z = a + scale * u
+            else:
+                z = u
+            vals, defined = _jacobian_powers(z, params, depth_max, p)
+            n_undefined += int((~defined).sum())
+            area_k = template_area * (params.c_m * params.sigma**2) ** k
+            estimate += area_k * float(vals.mean())
+            variance += (area_k**2) * float(vals.var(ddof=1)) / n_k
+        stderr = math.sqrt(variance)
+        undefined = n_undefined / samples
     return LpMassEstimate(
         p=float(p),
         estimate=estimate,
-        stderr=math.sqrt(variance),
+        stderr=stderr,
         samples=samples,
         depth_max=depth_max,
         seed=seed,
         method=method,
-        undefined_fraction=n_undefined / samples,
-        excluded_area=excluded,
+        undefined_fraction=undefined,
+        excluded_area=unresolved_area(params, depth_max),
     )
 
 

@@ -10,7 +10,7 @@ from randomized disk sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -49,9 +49,6 @@ class DimensionEstimate:
     counts: tuple[int, ...]
     slope: float
     r2: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _box_count(x: np.ndarray, y: np.ndarray, scale: float, offsets: np.ndarray) -> int:
@@ -172,9 +169,6 @@ class HolderReport:
     r2: float
     excluded_pairs: int
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def _chain_endpoints(
     rng: np.random.Generator, config: HolderConfig
@@ -185,13 +179,9 @@ def _chain_endpoints(
     centers = params.packing.centers
     sr = params.source_ratio
     z1_parts, z2_parts = [], []
-    per_gen = config.adversarial_per_generation
+    n_parents = config.adversarial_per_generation
     for gen in range(1, config.adversarial_depth + 1):
-        n_parents = per_gen
-        digits = rng.integers(0, m, size=(n_parents, gen - 1)) if gen > 1 else np.zeros(
-            (n_parents, 0), dtype=np.int64
-        )
-        a, scale = _chain_offsets(digits, centers, sr)
+        a, scale = _chain_offsets(rng.integers(0, m, size=(n_parents, gen - 1)), centers, sr)
         i_dig = rng.integers(0, m, n_parents)
         j_dig = (i_dig + 1 + rng.integers(0, m - 1, n_parents)) % m
         off = sr * complex(config.adversarial_offset)
@@ -212,7 +202,7 @@ def _annulus_endpoints(config: HolderConfig) -> tuple[np.ndarray, np.ndarray]:
     for level in range(config.annulus_levels):
         scale = sr**level
         for c in centers[:n_disks]:
-            anchor = scale * c if level > 0 else c
+            anchor = scale * c
             for rho in rhos:
                 ring = anchor + scale * r * rho * np.exp(1j * angles)
                 # adjacent pairs probe the local stretch, antipodal the chord sup
@@ -335,9 +325,6 @@ class PackingConditionReport:
     inherited_ok: bool
     floor_diameter: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def packing_condition_check(
     N: int,
@@ -407,9 +394,6 @@ class GrowthReport:
     stderr_at_max: float
     flagged: int
     max_undefined_fraction: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def integral_growth_check(

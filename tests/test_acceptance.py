@@ -131,10 +131,10 @@ def test_criterion_05_seam_continuity(p7):
                 inner = zi + p7.sigma * p7.r * np.exp(1j * theta)
                 linear = zi + p7.sigma**exp_in * (inner - zi)
                 radial = zi + (np.abs(inner - zi) / p7.r) ** exp_in * (inner - zi)
-                worst = max(worst, float(np.abs(T.apply(linear) - T.apply(radial)).max()))
+                worst = max(worst, float(np.abs(T(linear) - T(radial)).max()))
                 outer = zi + p7.r * np.exp(1j * theta)
                 radial_o = zi + (np.abs(outer - zi) / p7.r) ** exp_in * (outer - zi)
-                worst = max(worst, float(np.abs(T.apply(radial_o) - T.apply(outer)).max()))
+                worst = max(worst, float(np.abs(T(radial_o) - T(outer)).max()))
     assert worst <= 1e-12
     _verdict(5, f"seam pieces agree to {worst:.2e} over generations 1-3")
 

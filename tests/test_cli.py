@@ -312,12 +312,18 @@ _BAD_COUNTS = [
     ("packing --m 7 --trials -3", "trials must be >= 0, got -3"),
     ("holder --m 7 --depth-pairs -1", "adversarial_depth must be >= 0, got -1"),
     ("cauchy --alpha 0.5 --K 1 --t 1.6 --N 0", "measure generation N must be >= 1, got 0"),
+    ("growth --m 7 --N -2", "growth --N must be >= 0, got -2"),
+    ("lp-mass --m 7 --samples -5", "stratified samples must be >= 2*depth_max = 12, got -5"),
+    ("lp-mass --p 1.5 --m 19 --samples 6 --depth 6 --seed 1",
+     "stratified samples must be >= 2*depth_max = 12, got 6"),
+    ("lp-mass --m 7 --samples 1 --method uniform", "uniform samples must be >= 2, got 1"),
 ]
 
 
 @pytest.mark.parametrize("argv, condition", _BAD_COUNTS, ids=[a for a, _ in _BAD_COUNTS])
 def test_counts_that_certify_nothing_are_rejected(argv, condition, capsys):
-    # a negative count would crash in NumPy; no trial, or one draw per disk, certifies nothing
+    # a negative count would crash in NumPy or pass for 0; no trial, or too few
+    # draws for a standard error, certifies nothing
     assert cli.main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -376,17 +382,3 @@ def test_holder_exponent_beats_mori(tmp_path):
     assert payload["regression_exponent_adversarial"] >= 0.74
     assert payload["holder_exp"] == pytest.approx(0.75)
 
-
-def test_seeded_repeats_are_byte_identical(tmp_path):
-    pts = tmp_path / "pts.csv"
-    pts.write_text("0.25,0.1\n-0.3,0.44\n")
-    invocations = [
-        ["params", "--t", "1", "--K", "2", "--m", "19"],
-        ["eval", "--points", str(pts), "--m", "19", "--depth", "24"],
-        ["lp-mass", "--p", "1.5", "--m", "19", "--samples", "5000", "--depth", "4", "--seed", "5"],
-        ["dimension", "--side", "image", "--N", "4", "--m", "7", "--seed", "3"],
-    ]
-    for argv in invocations:
-        first = run_cli(*argv).stdout
-        second = run_cli(*argv).stdout
-        assert first == second, argv

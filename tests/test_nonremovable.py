@@ -114,10 +114,9 @@ class TestFrostmanMeasure:
         with pytest.raises(ParameterError):
             frostman_measure(params7, 1, growth_delta=-0.1)
 
-    def test_growth_ratio_rejects_unequal_weights(self):
-        mu = DiscreteMeasure(np.array([0j, 0.5 + 0j]), np.array([0.25, 0.75]), 1e-3, 1.0, 1.0)
+    def test_rejects_unequal_weights(self):
         with pytest.raises(ParameterError, match="equal atom weights"):
-            mu.growth_ratio(np.array([0j]), np.array([0.1, 1.0]))
+            DiscreteMeasure(np.array([0j, 0.5 + 0j]), np.array([0.25, 0.75]), 1e-3, 1.0, 1.0)
 
     def test_rejects_empty_measure(self):
         with pytest.raises(ParameterError, match="at least one atom"):

@@ -110,9 +110,9 @@ class TestPhi:
         for i in range(params7.m):
             src = source_map((i,), params7)
             img = image_map((i,), params7)
-            lhs, _, e1 = phi_batch(src.apply(z), params7, 41)
+            lhs, _, e1 = phi_batch(src(z), params7, 41)
             inner, _, e2 = phi_batch(z, params7, 40)
-            rhs = img.apply(inner)
+            rhs = img(inner)
             bound = e1 + params7.image_ratio * e2 + 1e-10
             assert (np.abs(lhs - rhs) <= bound).all()
 
@@ -214,10 +214,10 @@ class TestSeams:
             inner = zi + p.sigma * p.r * np.exp(1j * theta)
             linear = zi + p.sigma**exp_in * (inner - zi)
             radial = zi + (np.abs(inner - zi) / p.r) ** exp_in * (inner - zi)
-            assert np.abs(T_img.apply(linear) - T_img.apply(radial)).max() < 1e-12
+            assert np.abs(T_img(linear) - T_img(radial)).max() < 1e-12
             outer = zi + p.r * np.exp(1j * theta)
             radial_out = zi + (np.abs(outer - zi) / p.r) ** exp_in * (outer - zi)
-            assert np.abs(T_img.apply(radial_out) - T_img.apply(outer)).max() < 1e-12
+            assert np.abs(T_img(radial_out) - T_img(outer)).max() < 1e-12
 
 
 class TestInverse:
@@ -435,6 +435,16 @@ class TestLpMassMonteCarlo:
         slack = 5.0 * math.sqrt(exact / est.samples)
         assert est.undefined_fraction <= exact + slack
         assert est.excluded_area == pytest.approx(math.pi * exact)
+
+    def test_rejects_samples_too_few_for_a_stderr(self, params7):
+        # every generation needs two draws, or the stratified stderr omits its variance
+        depth = 4
+        with pytest.raises(ParameterError, match=r"samples must be >= 2\*depth_max = 8, got 7"):
+            lp_mass_monte_carlo(1.5, params7, 2 * depth - 1, depth, seed=0)
+        with pytest.raises(ParameterError, match="uniform samples must be >= 2, got 1"):
+            lp_mass_monte_carlo(1.5, params7, 1, depth, seed=0, method="uniform")
+        est = lp_mass_monte_carlo(1.5, params7, 2 * depth, depth, seed=0)
+        assert est.samples == 2 * depth and math.isfinite(est.stderr)
 
     def test_deterministic_given_seed(self, params7):
         a = lp_mass_monte_carlo(1.5, params7, 5000, 4, seed=42)
