@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import criterion12
 import pytest
 
 from cantorqc import cli
@@ -101,6 +103,18 @@ def test_cauchy_measure_out(tmp_path):
     assert payload["count"] == len(payload["atoms"])
     total = sum(w for _, _, w in payload["atoms"])
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+#: SHA-256 of the ``--measure-out`` file of criterion 12's ``cauchy``
+#: invocation, captured with NumPy 2.4.6 on x86-64.
+MEASURE_OUT_DIGEST = "2fbf2ae6681840c399ed6496185f1ba43b154b2e9a728000787f59fac37c43e0"
+
+
+def test_cauchy_measure_out_digest(tmp_path, capsys):
+    (argv,) = [a for a in criterion12.invocations("") if a[0] == "cauchy"]
+    measure_path = tmp_path / "measure.json"
+    assert cli.main(argv + ["--measure-out", str(measure_path)]) == 0
+    assert hashlib.sha256(measure_path.read_bytes()).hexdigest() == MEASURE_OUT_DIGEST
 
 
 @pytest.mark.parametrize("mode", ["phi", "inverse", "jacobian"])
