@@ -202,7 +202,7 @@ class ImageIFS:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Equally weighted atoms with a power-law growth certificate.
+    """Atoms of one weight each, with a power-law growth certificate.
 
     ``measure(B(z, rho)) <= growth_constant * rho**growth_exponent`` was
     checked on sampled balls with ``rho >= resolution``; nothing is claimed
@@ -212,7 +212,7 @@ class DiscreteMeasure:
     """
 
     positions: np.ndarray
-    weights: np.ndarray
+    weight: float
     resolution: float
     growth_exponent: float
     growth_constant: float
@@ -220,19 +220,17 @@ class DiscreteMeasure:
 
     def __post_init__(self) -> None:
         positions = np.ascontiguousarray(self.positions, dtype=np.complex128)
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         positions.flags.writeable = False
-        weights.flags.writeable = False
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "weights", weights)
-        if positions.shape != weights.shape:
-            raise ParameterError("positions and weights must have matching shapes")
+        object.__setattr__(self, "weight", float(self.weight))
         if positions.size == 0:
             raise ParameterError("a measure needs at least one atom")
-        if not (weights > 0).all():
-            raise ParameterError("all atom weights must be positive")
-        if (weights != weights[0]).any():
-            raise ParameterError("a measure needs equal atom weights")
+        if not self.weight > 0:
+            raise ParameterError(f"the atom weight must be positive, got {self.weight}")
+        if not np.isfinite(positions).all():
+            raise ParameterError("atom positions must be finite")
+        if not 0.0 < self.resolution < math.inf:
+            raise ParameterError(f"resolution must be positive and finite, got {self.resolution}")
         if self.ifs is not None and positions.size != self.ifs.m**self.ifs.generation:
             raise ParameterError(
                 f"an IFS of {self.ifs.m} maps at generation {self.ifs.generation} "
@@ -242,10 +240,6 @@ class DiscreteMeasure:
     @property
     def count(self) -> int:
         return self.positions.size
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
     def _walk(self, zs: np.ndarray, finish, leaf, tag: int = 1, levels: int | None = None,
               grid: _CellGrid | None = None) -> None:
@@ -344,12 +338,6 @@ class DiscreteMeasure:
         counts[:, order] = np.cumsum(changes.reshape(-1, R + 1)[:, :R], axis=1)
         return counts
 
-    def ball_mass(self, center: complex, radius: float) -> float:
-        """Mass of the closed ball ``B(center, radius)``: the sum of as many
-        weights as atoms inside."""
-        count = int(self._ball_counts(np.array([complex(center)]), np.array([radius]))[0, 0])
-        return float(self.weights[:count].sum())
-
     def nearest_atom_distance(self, zs: np.ndarray) -> np.ndarray:
         """Distance from each point to its nearest atom, ``sqrt(dx*dx + dy*dy)``.
 
@@ -400,11 +388,10 @@ class DiscreteMeasure:
     def growth_ratio(self, centers: np.ndarray, radii: np.ndarray) -> float:
         """Max of ``mass(B)/rho**s`` over all (center, radius) combinations,
         each ball weighed by counting its atoms."""
-        weight = float(self.weights[0])
         radii = np.asarray(radii, dtype=float)
         best = 0.0
         for rho, count in zip(radii, self._ball_counts(centers, radii).max(axis=0)):
-            best = max(best, float(count) * weight / rho**self.growth_exponent)
+            best = max(best, float(count) * self.weight / rho**self.growth_exponent)
         return best
 
     def to_json_dict(self) -> dict:
@@ -414,8 +401,8 @@ class DiscreteMeasure:
             "growth_exponent": self.growth_exponent,
             "growth_constant": self.growth_constant,
             "atoms": [
-                [float(p.real), float(p.imag), float(w)]
-                for p, w in zip(self.positions, self.weights)
+                [float(p.real), float(p.imag), self.weight]
+                for p in self.positions
             ],
         }
 
@@ -428,7 +415,7 @@ def frostman_measure(
 ) -> DiscreteMeasure:
     """Uniform atoms on the generation-``N`` image centers, with growth certificate.
 
-    Weights are ``m**-N`` each; the certificate exponent is
+    Each atom weighs ``m**-N``; the certificate exponent is
     ``dim_image - growth_delta`` and the constant is the observed maximum of
     ``mass(B)/rho**s`` over balls centered at 200 sampled atoms and 200
     random points, with 12 radii log-spaced between the resolution and 2.
@@ -439,11 +426,10 @@ def frostman_measure(
     if s <= 0:
         raise ParameterError(f"growth exponent {s} must be positive")
     centers = generation_centers(N, "image", params)
-    weights = np.full(centers.size, float(params.m) ** (-N))
     resolution = params.image_radius(N)
     measure = DiscreteMeasure(
         positions=centers,
-        weights=weights,
+        weight=float(params.m) ** (-N),
         resolution=resolution,
         growth_exponent=s,
         growth_constant=math.nan,
@@ -490,7 +476,7 @@ def _laurent(u: np.ndarray, u2: np.ndarray, mu: np.ndarray, radius: float) -> np
 
 
 def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
-    """``(1/pi) * sum_k w_k / (z - p_k)`` at each point of ``zs``, by the walk
+    """``(1/pi) * sum_k weight / (z - p_k)`` at each point of ``zs``, by the walk
     of the module docstring; a non-finite point raises :class:`ParameterError`."""
     zs = np.asarray(zs, dtype=np.complex128)
     flat = zs.ravel()
@@ -500,7 +486,7 @@ def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
             f"Cauchy transform points must be finite; point {bad[0]} is {flat[bad[0]]}"
         )
     acc = np.zeros(flat.size, dtype=np.complex128)
-    ifs, weight = measure._tree, float(measure.weights[0])
+    ifs, weight = measure._tree, measure.weight
 
     def finish(d, pt, node, centre, _tags):
         # a cluster seen from beyond radius/THETA is summed by its Laurent series
@@ -527,7 +513,7 @@ def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
 def cauchy_transform_batch(
     measure: DiscreteMeasure, zs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(1/pi) * sum_k w_k / (z - p_k)`` with a near-atom flag per point.
+    """``(1/pi) * sum_k weight / (z - p_k)`` with a near-atom flag per point.
 
     Summed to the accuracy of the direct sum.  Points closer than half the
     resolution to some atom are flagged: there the discrete transform no

@@ -82,12 +82,11 @@ def box_dimension(
     side: str,
     params: ConstructionParams,
     N: int,
-    scales: tuple[float, ...] | None = None,
     seed: int = 0,
 ) -> DimensionEstimate:
     """Box-counting slope over generation-``N`` disk centers.
 
-    Default scales are the self-similar ladder ``0.45 * ratio**k``, stopping
+    The scales are the self-similar ladder ``0.45 * ratio**k``, stopping
     two levels short of the generation so no scale starves for centers (at
     relative residual depth 1 a box count saturates at the point count and
     drags the slope down); 32 random grid offsets are summed per scale to
@@ -95,17 +94,10 @@ def box_dimension(
     """
     centers = generation_centers(N, side, params)
     ratio = params.ratio(side)
-    if scales is None:
-        top = N - 1 if N >= 4 else N
-        scales = tuple(0.45 * ratio**k for k in range(top))
-    scales = tuple(sorted((float(s) for s in scales), reverse=True))
+    top = N - 1 if N >= 4 else N
+    scales = tuple(0.45 * ratio**k for k in range(top))
     if len(scales) < 3:
         raise ParameterError(f"need at least 3 scales for a dimension fit, got {len(scales)}")
-    gen_radius = ratio**N
-    if scales[0] > 1.0 or scales[-1] < gen_radius:
-        raise ParameterError(
-            f"scales must lie within [{gen_radius:.3g}, 1], got [{scales[-1]:.3g}, {scales[0]:.3g}]"
-        )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     re, im = centers.real.copy(), centers.imag.copy()
     counts = []

@@ -10,10 +10,12 @@ its file.  Each mutant then gets its own copy of the checkout (without
 ``.git``) in a temporary directory, and the copy runs tier-1 without the
 tests that only compare pinned outputs: ``test_golden.py``,
 ``test_no_scipy.py``, criterion 12 and the digest and pinned tests.  Those
-would catch any change of output, right or wrong.  A mutant that no other
-test catches survives; the exit status is the number of survivors.  Each
-mutant takes about as long as that selection, some 45 s on two cores.  The
-file name keeps pytest from collecting this script.
+would catch any change of output, right or wrong.  It also leaves out
+``test_mutants.py``, which checks in tier-1 that every mutant still
+applies.  A mutant that no other test catches survives; the exit status is
+the number of survivors.  Each mutant takes about as long as that
+selection, some 45 s on two cores.  The file name keeps pytest from
+collecting this script.
 """
 
 from __future__ import annotations
@@ -70,17 +72,24 @@ MUTANTS = [
      "radii = np.geomspace(4.0 * resolution, 2.0, 12)"),
 ]
 
-#: Tier-1 without the tests that only compare pinned outputs.
+#: Tier-1 without the tests that only compare pinned outputs, and without
+#: ``test_mutants.py``, which fails on every mutated copy.
 SELECTION = [
     "tests", "--ignore=tests/test_golden.py", "--ignore=tests/test_no_scipy.py",
+    "--ignore=tests/test_mutants.py",
     "-k", "not criterion_12 and not digest and not byte_identical and not pinned",
 ]
+
+
+def occurrences(file: str, old: str) -> int:
+    """How often ``old`` occurs in ``file`` under src/cantorqc."""
+    return (ROOT / "src" / "cantorqc" / file).read_text(encoding="utf-8").count(old)
 
 
 def check(mutants) -> None:
     """Stop unless each mutant's old text occurs exactly once in its file."""
     for name, file, old, _ in mutants:
-        found = (ROOT / "src" / "cantorqc" / file).read_text(encoding="utf-8").count(old)
+        found = occurrences(file, old)
         if found != 1:
             sys.exit(f"mutant {name!r}: its old text occurs {found} times in {file}, not once")
 

@@ -110,7 +110,7 @@ def test_cauchy_measure_out(tmp_path):
 MEASURE_OUT_DIGEST = "2fbf2ae6681840c399ed6496185f1ba43b154b2e9a728000787f59fac37c43e0"
 
 
-def test_cauchy_measure_out_digest(tmp_path, capsys):
+def test_cauchy_measure_out_digest(tmp_path):
     (argv,) = [a for a in criterion12.invocations("") if a[0] == "cauchy"]
     measure_path = tmp_path / "measure.json"
     assert cli.main(argv + ["--measure-out", str(measure_path)]) == 0

@@ -46,7 +46,7 @@ def _assert_tree_matches_direct(mu, zs):
     direct, _ = cauchy_transform_batch(replace(mu, ifs=None), zs)
     for i in range(0, zs.size, 50):
         block = zs[i : i + 50]
-        absolute = (mu.weights[None, :] / np.abs(block[:, None] - mu.positions[None, :])).sum(axis=1)
+        absolute = (mu.weight / np.abs(block[:, None] - mu.positions[None, :])).sum(axis=1)
         err = np.abs(tree[i : i + 50] - direct[i : i + 50])
         assert (err <= 256 * UNIT_ROUNDOFF * absolute / math.pi).all()
 
@@ -67,28 +67,28 @@ def _seeded_points(mu, seed, n_disk, n_near, n_ring):
 class TestFrostmanMeasure:
     def test_generation_zero_single_atom(self, params7):
         mu = frostman_measure(params7, 0, growth_delta=0.2)
-        assert mu.count == 1 and mu.positions[0] == 0j and mu.weights[0] == 1.0
+        assert mu.count == 1 and mu.positions[0] == 0j and mu.weight == 1.0
 
     def test_generation_one_atoms_at_centers(self, params7):
         mu = frostman_measure(params7, 1)
         assert mu.count == 7
         assert np.allclose(mu.positions, params7.packing.centers)
-        assert np.allclose(mu.weights, 1.0 / 7.0)
+        assert np.allclose(mu.weight, 1.0 / 7.0)
         assert mu.resolution == pytest.approx(params7.image_ratio)
 
     def test_total_mass_exactly_one(self, params7):
         mu = frostman_measure(params7, 3)
         # uniform weights are 1/m**N by construction: exact in rationals
         assert Fraction(1, params7.m**3) * params7.m**3 == 1
-        assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert mu.count * mu.weight == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_generation_ball_mass_is_self_similar_count(self, params7, k):
         N = 3
         mu = frostman_measure(params7, N)
         center = image_map((2, 4, 1)[: k], params7)(0)
-        mass = mu.ball_mass(complex(center), params7.image_radius(k))
-        assert mass == pytest.approx(params7.m ** (-k), rel=1e-12)
+        count = mu._ball_counts(np.array([center]), np.array([params7.image_radius(k)]))[0, 0]
+        assert count == params7.m ** (N - k)
 
     def test_growth_certificate_on_generation_balls(self, params7):
         # measure of a generation ball is radius**dim_image, so constant 1 works
@@ -96,8 +96,9 @@ class TestFrostmanMeasure:
         mu = frostman_measure(params7, N, growth_delta=delta)
         for k in (1, 2):
             rho = params7.image_radius(k)
-            mass = mu.ball_mass(complex(image_map((0,) * k, params7)(0)), rho)
-            assert mass <= 1.0 * rho**mu.growth_exponent * (1 + 1e-9)
+            center = image_map((0,) * k, params7)(0)
+            count = mu._ball_counts(np.array([center]), np.array([rho]))[0, 0]
+            assert count * mu.weight <= 1.0 * rho**mu.growth_exponent * (1 + 1e-9)
         assert math.isfinite(mu.growth_constant) and mu.growth_constant > 0
 
     def test_growth_doubling(self, params7):
@@ -114,20 +115,30 @@ class TestFrostmanMeasure:
         with pytest.raises(ParameterError):
             frostman_measure(params7, 1, growth_delta=-0.1)
 
-    def test_rejects_unequal_weights(self):
-        with pytest.raises(ParameterError, match="equal atom weights"):
-            DiscreteMeasure(np.array([0j, 0.5 + 0j]), np.array([0.25, 0.75]), 1e-3, 1.0, 1.0)
+    def test_rejects_non_positive_weight(self):
+        for weight in (0.0, -0.5, math.nan):
+            with pytest.raises(ParameterError, match="weight must be positive"):
+                DiscreteMeasure(np.array([0j, 0.5 + 0j]), weight, 1e-3, 1.0, 1.0)
+
+    @pytest.mark.parametrize("positions, resolution, match", [
+        ([math.nan + 0j, 0.5 + 0j], 1e-3, "atom positions must be finite"),
+        ([0.5 + 0j, complex(0.0, math.inf)], 1e-3, "atom positions must be finite"),
+        ([0j, 0.5 + 0j], math.nan, "resolution must be positive and finite"),
+        ([0j, 0.5 + 0j], math.inf, "resolution must be positive and finite"),
+        ([0j, 0.5 + 0j], 0.0, "resolution must be positive and finite"),
+    ], ids=["nan-atom", "infinite-atom", "nan-resolution", "infinite-resolution", "zero-resolution"])
+    def test_rejects_non_finite_atom_or_resolution(self, positions, resolution, match):
+        with pytest.raises(ParameterError, match=match):
+            DiscreteMeasure(np.array(positions), 0.5, resolution, 1.0, 1.0)
 
     def test_rejects_empty_measure(self):
         with pytest.raises(ParameterError, match="at least one atom"):
-            DiscreteMeasure(np.zeros(0, complex), np.zeros(0), 1e-3, 1.0, 1.0)
+            DiscreteMeasure(np.zeros(0, complex), 1.0, 1e-3, 1.0, 1.0)
 
     def test_ifs_must_match_atoms(self, params7):
         mu = frostman_measure(params7, 2)
         with pytest.raises(ParameterError, match="places 343 atoms, got 49"):
             replace(mu, ifs=ImageIFS(params7.packing.centers, params7.image_ratio, 3))
-        with pytest.raises(ParameterError, match="equal atom weights"):
-            replace(mu, weights=np.linspace(0.5, 1.5, mu.count))
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +185,7 @@ class TestAtomQueries:
             mu.positions[rng.choice(mu.count, min(150, mu.count), replace=False)],
             rng.uniform(-1.1, 1.1, 150) + 1j * rng.uniform(-1.1, 1.1, 150),
         ])
-        tree, weight = _kd_tree(mu), float(mu.weights[0])
+        tree, weight = _kd_tree(mu), mu.weight
         pts = np.column_stack([centers.real, centers.imag])
         for rho in np.geomspace(mu.resolution, 2.0, 12):
             counts = tree.query_ball_point(pts, rho, return_length=True)
@@ -191,17 +202,21 @@ class TestAtomQueries:
 
     @pytest.mark.parametrize("name", ["criterion-11", "m7-N5", "small", "plain"])
     def test_ball_mass_at_atom_distances(self, tree_measures, name):
-        # radii equal to an atom's distance and one ulp either side
+        # radii equal to an atom's distance and one ulp either side, and the
+        # radii of the growth certificate
         mu = tree_measures[name]
         rng = np.random.default_rng(34)
         tree = _kd_tree(mu)
         for center in (complex(mu.positions[17]) + 0.0123, 0.05 - 0.2j, 0j):
             dx, dy = mu.positions.real - center.real, mu.positions.imag - center.imag
-            for rho in np.sqrt(dx * dx + dy * dy)[rng.choice(mu.count, 25, replace=False)]:
-                for radius in (np.nextafter(rho, 0.0), rho, np.nextafter(rho, 9.0)):
-                    inside = tree.query_ball_point([center.real, center.imag], radius)
-                    expected = float(mu.weights[inside].sum())
-                    assert mu.ball_mass(center, float(radius)) == expected
+            rho = np.sqrt(dx * dx + dy * dy)[rng.choice(mu.count, 25, replace=False)]
+            radii = np.concatenate([
+                np.nextafter(rho, 0.0), rho, np.nextafter(rho, 9.0),
+                np.geomspace(mu.resolution, 2.0, 12),
+            ])
+            pts = np.tile([center.real, center.imag], (radii.size, 1))
+            expected = tree.query_ball_point(pts, radii, return_length=True)
+            assert np.array_equal(mu._ball_counts(np.array([center]), radii)[0], expected)
 
 
 #: SHA-256 of each query's outputs over the four ``tree_measures`` at seeded
@@ -210,7 +225,6 @@ class TestAtomQueries:
 #: 2.4.6 on x86-64: a digest that breaks after a NumPy or CPU change, with the
 #: queries unchanged, is recaptured, not mended.
 QUERY_DIGESTS = {
-    "ball_mass": "a66103d6503ac47e2710f86ad0633029754ef6e02cb4975dea95292b42487f69",
     "cauchy_transform_batch": "e8baccd3922d54fec976c67f8c96a362d1393514bf8fc29910ed8f50068abcbf",
     "growth_ratio": "00055c3afc56d8aa9b0b91b42d68158f2566fd0ffff293b22df07e3ff189af48",
     "nearest_atom_distance": "5c7868b50d828f16c48415ff5c71c76e46ba910714e519bb0365309c30536257",
@@ -223,15 +237,12 @@ def _query_outputs(mu, query):
         return cauchy_transform_batch(mu, _seeded_points(mu, 41, 400, 150, 25))
     if query == "nearest_atom_distance":
         return [mu.nearest_atom_distance(_seeded_points(mu, 42, 400, 150, 25))]
-    if query == "growth_ratio":
-        rng = np.random.default_rng(43)
-        centers = np.concatenate([
-            mu.positions[rng.choice(mu.count, min(150, mu.count), replace=False)],
-            rng.uniform(-1.1, 1.1, 150) + 1j * rng.uniform(-1.1, 1.1, 150),
-        ])
-        return [np.array([mu.growth_ratio(centers, np.array([rho])) for rho in radii])]
-    centers = (complex(mu.positions[17]) + 0.0123, 0.05 - 0.2j, 0j)
-    return [np.array([mu.ball_mass(c, float(rho)) for c in centers for rho in radii])]
+    rng = np.random.default_rng(43)
+    centers = np.concatenate([
+        mu.positions[rng.choice(mu.count, min(150, mu.count), replace=False)],
+        rng.uniform(-1.1, 1.1, 150) + 1j * rng.uniform(-1.1, 1.1, 150),
+    ])
+    return [np.array([mu.growth_ratio(centers, np.array([rho])) for rho in radii])]
 
 
 @pytest.mark.parametrize("query", sorted(QUERY_DIGESTS))
@@ -248,7 +259,7 @@ def test_query_digest(tree_measures, query):
 class TestCauchyTransform:
     def test_single_atom(self):
         mu = DiscreteMeasure(
-            positions=np.array([0j]), weights=np.array([1.0]),
+            positions=np.array([0j]), weight=1.0,
             resolution=1e-3, growth_exponent=1.0, growth_constant=1.0,
         )
         for z in (1 + 0j, 2j, -0.5 + 0.5j):
@@ -256,7 +267,7 @@ class TestCauchyTransform:
 
     def test_two_atoms_partial_fractions(self):
         mu = DiscreteMeasure(
-            positions=np.array([0.5 + 0j, -0.5 + 0j]), weights=np.array([0.5, 0.5]),
+            positions=np.array([0.5 + 0j, -0.5 + 0j]), weight=0.5,
             resolution=1e-3, growth_exponent=1.0, growth_constant=1.0,
         )
         for z in (1.3 + 0.2j, -2 + 1j, 0.1 + 0.9j):
@@ -273,7 +284,7 @@ class TestCauchyTransform:
     def test_linearity(self, params7):
         mu = frostman_measure(params7, 1)
         half = DiscreteMeasure(
-            positions=mu.positions, weights=0.5 * mu.weights,
+            positions=mu.positions, weight=0.5 * mu.weight,
             resolution=mu.resolution, growth_exponent=mu.growth_exponent,
             growth_constant=mu.growth_constant,
         )
@@ -284,7 +295,7 @@ class TestCauchyTransform:
     @given(st.lists(st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)), min_size=1, max_size=6))
     def test_reflection_conjugate_symmetry(self, atom_coords):
         pos = np.array([complex(a, b) for a, b in atom_coords])
-        w = np.full(pos.size, 1.0 / pos.size)
+        w = 1.0 / pos.size
         mu = DiscreteMeasure(pos, w, 1e-4, 1.0, 1.0)
         mu_refl = DiscreteMeasure(np.conj(pos), w, 1e-4, 1.0, 1.0)
         z = 1.7 + 1.3j
@@ -326,7 +337,7 @@ class TestCauchyTransform:
         for mu in (small, plain):
             zs = _seeded_points(mu, 13, 40, 10, 5)
             values, _ = cauchy_transform_batch(mu, zs)
-            expected = (mu.weights[None, :] / (zs[:, None] - mu.positions[None, :])).sum(axis=1)
+            expected = (mu.weight / (zs[:, None] - mu.positions[None, :])).sum(axis=1)
             assert (values == expected / math.pi).all()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
@@ -410,7 +421,7 @@ class TestCounterexampleEvaluator:
 
     def test_dbar_single_atom_analytic(self):
         mu = DiscreteMeasure(
-            positions=np.array([0j]), weights=np.array([1.0]),
+            positions=np.array([0j]), weight=1.0,
             resolution=1e-2, growth_exponent=1.0, growth_constant=1.0,
         )
 
@@ -423,7 +434,7 @@ class TestCounterexampleEvaluator:
         spec = build_counterexample(0.5, 2.0, 1.9, N=1)
         mu = spec.measure
         for R in (10.0, 100.0):
-            bound = float((mu.weights * np.abs(mu.positions)).sum()) / (
+            bound = float((mu.weight * np.abs(mu.positions)).sum()) / (
                 math.pi * (R - np.abs(mu.positions).max())
             )
             assert residue_error(spec, R) <= bound * (1 + 1e-9)
