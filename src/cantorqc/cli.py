@@ -102,7 +102,6 @@ def _dry_run_payload(args: argparse.Namespace, derived: dict | None) -> dict:
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None
     }
-    config = {k: (str(v) if isinstance(v, complex) else v) for k, v in config.items()}
     return {"command": args.command, "config": config, "derived": derived}
 
 

@@ -74,14 +74,6 @@ class Similarity:
     def __call__(self, z: complex | np.ndarray) -> complex | np.ndarray:
         return self.a + self.b * z
 
-    @property
-    def scale(self) -> float:
-        return abs(self.b)
-
-    @property
-    def unit_disk_image(self) -> Disk:
-        return Disk(self.a, self.scale)
-
 
 # ---------------------------------------------------------------------------
 # first-generation layout
@@ -508,9 +500,6 @@ class ConstructionParams:
         if side not in ("source", "image"):
             raise ParameterError(f"side must be 'source' or 'image', got {side!r}")
         return self.source_ratio if side == "source" else self.image_ratio
-
-    def image_radius(self, n: int) -> float:
-        return self.image_ratio**n
 
     def to_json_dict(self) -> dict:
         out = self.packing.to_json_dict()

@@ -426,7 +426,7 @@ def frostman_measure(
     if s <= 0:
         raise ParameterError(f"growth exponent {s} must be positive")
     centers = generation_centers(N, "image", params)
-    resolution = params.image_radius(N)
+    resolution = params.image_ratio**N
     measure = DiscreteMeasure(
         positions=centers,
         weight=float(params.m) ** (-N),
@@ -548,24 +548,24 @@ class CounterexampleSpec:
     """A built counterexample: parameters, measure, and the composed evaluator."""
 
     alpha: float
-    K: float
-    t: float
     epsilon: float
     expected_f_exponent: float
     params: ConstructionParams
     measure: DiscreteMeasure
     depth_max: int
 
-    def f_batch(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``f = g o phi`` on an array; returns values and near-atom flags."""
+    def f_map(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``f = g o phi`` on an array: values, and error bounds that are
+        infinite near an atom, where the transform is not trusted, else 0."""
         w, _, _ = phi_batch(np.asarray(zs, dtype=np.complex128), self.params, self.depth_max)
-        return cauchy_transform_batch(self.measure, w)
+        values, flagged = cauchy_transform_batch(self.measure, w)
+        return values, np.where(flagged, math.inf, 0.0)
 
     def to_json_dict(self) -> dict:
         return {
             "alpha": self.alpha,
-            "K": self.K,
-            "t": self.t,
+            "K": self.params.K,
+            "t": self.params.t,
             "epsilon": self.epsilon,
             "expected_f_exponent": self.expected_f_exponent,
             "m": self.params.m,
@@ -647,8 +647,6 @@ def build_counterexample(
     expected = (params.t_prime - 2.0 * epsilon - 1.0) * t / params.t_prime
     return CounterexampleSpec(
         alpha=float(alpha),
-        K=float(K),
-        t=float(t),
         epsilon=epsilon,
         expected_f_exponent=expected,
         params=params,
@@ -675,15 +673,6 @@ class CounterexampleReport:
     residue_error_near: float
     flagged_pairs: int
     scale_floor: float
-
-
-def _f_map_fn(spec: CounterexampleSpec):
-    def fn(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, flagged = spec.f_batch(zs)
-        err = np.where(flagged, math.inf, 0.0)
-        return values, err
-
-    return fn
 
 
 def dbar_max(spec: CounterexampleSpec, grid: int = 40) -> float:
@@ -738,13 +727,11 @@ def verify_counterexample(
             annulus_levels=1,
             annulus_disks=8,
         )
-    report: HolderReport = holder_estimate(
-        _f_map_fn(spec), spec.alpha, holder_config, seed=seed
-    )
+    report: HolderReport = holder_estimate(spec.f_map, spec.alpha, holder_config, seed=seed)
     return CounterexampleReport(
         alpha=spec.alpha,
-        K=spec.K,
-        t=spec.t,
+        K=spec.params.K,
+        t=spec.params.t,
         epsilon=spec.epsilon,
         expected_f_exponent=spec.expected_f_exponent,
         measured_exponent=report.regression_exponent,

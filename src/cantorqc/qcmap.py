@@ -514,14 +514,6 @@ class GluedMapSpec:
 
     pieces: tuple[GluedPiece, ...]
 
-    @property
-    def t(self) -> float:
-        return self.pieces[0].params.t
-
-    @property
-    def K(self) -> float:
-        return self.pieces[0].params.K
-
     def holder_constants(self) -> tuple[float, ...]:
         """Per-piece constants ``m**(1/t - 1/t') * r**(1 - t/t')``."""
         out = []
@@ -535,8 +527,8 @@ class GluedMapSpec:
 
     def to_json_dict(self) -> dict:
         return {
-            "t": self.t,
-            "K": self.K,
+            "t": self.pieces[0].params.t,
+            "K": self.pieces[0].params.K,
             "pieces": [
                 {
                     "host_center": [piece.host.center.real, piece.host.center.imag],

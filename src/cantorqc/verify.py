@@ -276,14 +276,13 @@ def holder_estimate(
     """
     sep, diff, bound, adversarial, excluded = _collect_pairs(map_fn, config, seed)
     ratio_upper = (diff + bound) / sep**exponent_target
-    max_ratio = float(ratio_upper.max()) if ratio_upper.size else 0.0
-
     certain = (diff > 0.0) & (bound <= 0.1 * diff)
     excluded += int((~certain).sum())
     x = np.log(sep[certain])
     y = np.log(diff[certain])
     if x.size < 3:
         raise ParameterError("too few usable pairs for a Hölder regression")
+    max_ratio = float(ratio_upper.max())
     slope, r2 = _loglog_fit(x, y)
     adv = adversarial[certain]
     if adv.sum() >= 3:

@@ -24,11 +24,6 @@ from descent import descents
 
 
 class TestSimilarity:
-    def test_unit_disk_image(self):
-        f = Similarity(1 + 1j, 0.5j)
-        img = f.unit_disk_image
-        assert img.center == 1 + 1j and img.radius == pytest.approx(0.5)
-
     def test_rejects_zero_scale(self):
         with pytest.raises(ParameterError):
             Similarity(0j, 0j)
@@ -276,15 +271,15 @@ class TestMultiIndexMaps:
         f, g = source_map((i,), params7), image_map((i,), params7)
         zi = params7.packing.centers[i]
         assert f(0) == zi and g(0) == zi
-        assert f.scale == pytest.approx(params7.source_ratio)
-        assert g.scale == pytest.approx(params7.image_ratio)
+        assert abs(f.b) == pytest.approx(params7.source_ratio)
+        assert abs(g.b) == pytest.approx(params7.image_ratio)
 
     def test_two_digit_composition(self, params7):
         i, j = 2, 5
         g = image_map((i, j), params7)
         zi, zj = params7.packing.centers[i], params7.packing.centers[j]
         assert g(0) == pytest.approx(zi + params7.image_ratio * zj, rel=1e-15)
-        assert g.scale == pytest.approx(params7.image_ratio**2, rel=1e-15)
+        assert abs(g.b) == pytest.approx(params7.image_ratio**2, rel=1e-15)
 
     def test_child_center_recursion(self, params7):
         J = (1, 4)
@@ -336,9 +331,11 @@ class TestGenerationDisks:
         # child generating disk sits inside its protecting disk, which sits
         # inside the parent generating disk
         J = (2, 6)
-        parent = source_map(J, params7).unit_disk_image
+        T = source_map(J, params7)
+        parent = Disk(T.a, abs(T.b))
         for i in range(params7.m):
-            child = source_map(J + (i,), params7).unit_disk_image
+            T = source_map(J + (i,), params7)
+            child = Disk(T.a, abs(T.b))
             protect = Disk(child.center, child.radius / params7.sigma)
             assert abs(child.center - protect.center) + child.radius <= protect.radius + 1e-15
             assert abs(protect.center - parent.center) + protect.radius < parent.radius

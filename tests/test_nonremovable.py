@@ -87,7 +87,7 @@ class TestFrostmanMeasure:
         N = 3
         mu = frostman_measure(params7, N)
         center = image_map((2, 4, 1)[: k], params7)(0)
-        count = mu._ball_counts(np.array([center]), np.array([params7.image_radius(k)]))[0, 0]
+        count = mu._ball_counts(np.array([center]), np.array([params7.image_ratio**k]))[0, 0]
         assert count == params7.m ** (N - k)
 
     def test_growth_certificate_on_generation_balls(self, params7):
@@ -95,7 +95,7 @@ class TestFrostmanMeasure:
         N, delta = 3, 0.05
         mu = frostman_measure(params7, N, growth_delta=delta)
         for k in (1, 2):
-            rho = params7.image_radius(k)
+            rho = params7.image_ratio**k
             center = image_map((0,) * k, params7)(0)
             count = mu._ball_counts(np.array([center]), np.array([rho]))[0, 0]
             assert count * mu.weight <= 1.0 * rho**mu.growth_exponent * (1 + 1e-9)
@@ -397,7 +397,7 @@ class TestCounterexampleArithmetic:
     def test_expected_exponent_dominates_alpha(self):
         spec = build_counterexample(0.5, 2.0, 1.9, N=1)
         assert spec.expected_f_exponent >= spec.alpha
-        f_exp_alt = spec.t - (2 * spec.epsilon + 1) * spec.t / spec.params.t_prime
+        f_exp_alt = spec.params.t - (2 * spec.epsilon + 1) * spec.params.t / spec.params.t_prime
         assert spec.expected_f_exponent == pytest.approx(f_exp_alt, rel=1e-12)
 
     def test_measure_growth_target(self):
@@ -413,7 +413,7 @@ class TestCounterexampleEvaluator:
         spec = build_counterexample(0.5, 2.0, 1.9, N=1, depth_max=30)
         rng = np.random.default_rng(4)
         zs = rng.uniform(-1.2, 1.2, 20) + 1j * rng.uniform(-1.2, 1.2, 20)
-        single, _ = spec.f_batch(zs)
+        single, _ = spec.f_map(zs)
         for z, v in zip(zs, single):
             w = phi(complex(z), spec.params, 30).value
             composed = cauchy_transform(spec.measure, w)
