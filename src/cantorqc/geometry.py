@@ -53,6 +53,8 @@ class Disk:
     radius: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.center):
+            raise ParameterError(f"disk center must be finite, got {self.center}")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ParameterError(f"disk radius must be positive and finite, got {self.radius}")
 

@@ -420,7 +420,7 @@ def frostman_measure(
     ``mass(B)/rho**s`` over balls centered at 200 sampled atoms and 200
     random points, with 12 radii log-spaced between the resolution and 2.
     """
-    if growth_delta <= 0:
+    if not growth_delta > 0:
         raise ParameterError(f"growth_delta must be positive, got {growth_delta}")
     s = params.dim_image - growth_delta
     if s <= 0:

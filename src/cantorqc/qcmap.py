@@ -317,20 +317,23 @@ def lp_mass_closed_form(
     ``gamma = 2p(1/K - 1) + 2``; at ``p = K/(K-1)`` (detected within
     :data:`CRITICAL_P_TOL`) the annulus factor becomes ``log(1/sigma)``.
     """
-    if p < 1.0:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ParameterError(f"p must be finite and >= 1, got {p}")
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     K, sigma, c_m = params.K, params.sigma, params.c_m
     gamma = 2.0 * p * (1.0 / K - 1.0) + 2.0
     critical = K > 1.0 and abs(p - K / (K - 1.0)) <= CRITICAL_P_TOL
-    if critical:
-        ann = c_m * (2.0 * math.pi / K**p) * math.log(1.0 / sigma)
-        ratio = c_m
-    else:
-        # |(1 - sigma**gamma)/gamma| via expm1 to stay stable near gamma = 0
-        ann = c_m * (2.0 * math.pi / K**p) * abs(math.expm1(gamma * math.log(sigma)) / gamma)
-        ratio = c_m * sigma**gamma
+    try:
+        if critical:
+            ann = c_m * (2.0 * math.pi / K**p) * math.log(1.0 / sigma)
+            ratio = c_m
+        else:
+            # |(1 - sigma**gamma)/gamma| via expm1 to stay stable near gamma = 0
+            ann = c_m * (2.0 * math.pi / K**p) * abs(math.expm1(gamma * math.log(sigma)) / gamma)
+            ratio = c_m * sigma**gamma
+    except OverflowError:
+        raise ParameterError(f"p = {p} overflows K**p or sigma**gamma in float64") from None
     level0 = math.pi * (1.0 - c_m) + ann
     partial = []
     acc, term = 0.0, level0
@@ -437,8 +440,8 @@ def lp_mass_monte_carlo(
     from the disk, or from every generation: ``samples >= 2`` for the
     uniform method, ``samples >= 2*depth_max`` for the stratified one.
     """
-    if p < 1.0:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ParameterError(f"p must be finite and >= 1, got {p}")
     if depth_max < 1:
         raise ParameterError(f"depth_max must be >= 1, got {depth_max}")
     if method not in ("uniform", "stratified"):

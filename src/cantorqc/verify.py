@@ -90,7 +90,9 @@ def box_dimension(
     two levels short of the generation so no scale starves for centers (at
     relative residual depth 1 a box count saturates at the point count and
     drags the slope down); 32 random grid offsets are summed per scale to
-    wash out lattice alignment.
+    wash out lattice alignment.  A ladder whose finest scale lies below 4096
+    float64 spacings of the largest center coordinate is rejected: there the
+    centers are rounded together and the counts measure the rounding.
     """
     centers = generation_centers(N, side, params)
     ratio = params.ratio(side)
@@ -98,8 +100,14 @@ def box_dimension(
     scales = tuple(0.45 * ratio**k for k in range(top))
     if len(scales) < 3:
         raise ParameterError(f"need at least 3 scales for a dimension fit, got {len(scales)}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     re, im = centers.real.copy(), centers.imag.copy()
+    floor = 4096 * np.spacing(max(np.abs(re).max(), np.abs(im).max()))
+    if scales[-1] < floor:
+        raise ParameterError(
+            f"finest box scale {scales[-1]:.3g} is below 4096 float64 spacings "
+            f"of the centers, {floor:.3g}"
+        )
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = []
     for s in scales:
         offsets = rng.uniform(0.0, s, size=(32, 2))
@@ -203,8 +211,10 @@ def _annulus_endpoints(config: HolderConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(z1_parts), np.concatenate(z2_parts)
 
 
-def _collect_pairs(map_fn: MapFn, config: HolderConfig, seed: int):
+def _collect_pairs(map_fn: MapFn, exponent_target: float, config: HolderConfig, seed: int):
     """Assemble all pair families, evaluate the map, and drop (and count) unusable pairs."""
+    if not math.isfinite(exponent_target):
+        raise ParameterError(f"Hölder target exponent must be finite, got {exponent_target}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z1_parts, z2_parts, adv_parts = [], [], []
 
@@ -256,7 +266,7 @@ def holder_pair_table(
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat ``(separations, certified ratios)`` table for external plotting."""
-    sep, diff, bound, _, _ = _collect_pairs(map_fn, config, seed)
+    sep, diff, bound, _, _ = _collect_pairs(map_fn, exponent_target, config, seed)
     return sep, (diff + bound) / sep**exponent_target
 
 
@@ -274,7 +284,7 @@ def holder_estimate(
     dropped from the regression (and counted).  Only pairs with separation
     below 1 enter.
     """
-    sep, diff, bound, adversarial, excluded = _collect_pairs(map_fn, config, seed)
+    sep, diff, bound, adversarial, excluded = _collect_pairs(map_fn, exponent_target, config, seed)
     ratio_upper = (diff + bound) / sep**exponent_target
     certain = (diff > 0.0) & (bound <= 0.1 * diff)
     excluded += int((~certain).sum())
@@ -335,8 +345,8 @@ def packing_condition_check(
     ``ratio_s <= ratio_t`` (the inheritance implied for ``s > t``).
     """
     t = params.t
-    if s < t - 1e-12:
-        raise ParameterError(f"packing exponent s = {s} must be >= t = {t}")
+    if not (math.isfinite(s) and s >= t - 1e-12):
+        raise ParameterError(f"packing exponent s = {s} must be finite and >= t = {t}")
     if trials < 0:
         raise ParameterError(f"trials must be >= 0, got {trials}")
     centers = generation_centers(N, "source", params)

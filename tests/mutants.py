@@ -67,6 +67,9 @@ MUTANTS = [
     ("Hölder max_ratio without the err inflation", "verify.py",
      "ratio_upper = (diff + bound) / sep**exponent_target",
      "ratio_upper = diff / sep**exponent_target"),
+    ("box ladder floor off", "verify.py",
+     "floor = 4096 * np.spacing(",
+     "floor = 0 * np.spacing("),
     ("growth radii from 4x the resolution", "nonremovable.py",
      "radii = np.geomspace(resolution, 2.0, 12)",
      "radii = np.geomspace(4.0 * resolution, 2.0, 12)"),

@@ -331,13 +331,21 @@ _BAD_COUNTS = [
     ("lp-mass --p 1.5 --m 19 --samples 6 --depth 6 --seed 1",
      "stratified samples must be >= 2*depth_max = 12, got 6"),
     ("lp-mass --m 7 --samples 1 --method uniform", "uniform samples must be >= 2, got 1"),
+    ("lp-mass --m 7 --p nan", "p must be finite and >= 1, got nan"),
+    ("lp-mass --m 7 --p inf", "p must be finite and >= 1, got inf"),
+    ("lp-mass --m 7 --p 1e308", "p = 1e+308 overflows K**p or sigma**gamma in float64"),
+    ("packing --N 2 --m 7 --trials 5 --s nan", "packing exponent s = nan must be finite"),
+    ("packing --N 2 --m 7 --trials 5 --s inf", "packing exponent s = inf must be finite"),
+    ("holder --m 19 --target nan", "Hölder target exponent must be finite, got nan"),
+    ("glue --t 1 --K 2 --hosts=nan,0.0,0.1 --piece-m 7", "disk center must be finite"),
 ]
 
 
 @pytest.mark.parametrize("argv, condition", _BAD_COUNTS, ids=[a for a, _ in _BAD_COUNTS])
 def test_counts_that_certify_nothing_are_rejected(argv, condition, capsys):
     # a negative count would crash in NumPy or pass for 0; no trial, or too few
-    # draws for a standard error, certifies nothing
+    # draws for a standard error, certifies nothing; nor does a NaN or infinite
+    # exponent or host center, which every comparison lets through
     assert cli.main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == ""

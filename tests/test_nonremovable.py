@@ -112,8 +112,9 @@ class TestFrostmanMeasure:
         assert doubled <= base * (1 + 1e-12)
 
     def test_rejects_bad_delta(self, params7):
-        with pytest.raises(ParameterError):
-            frostman_measure(params7, 1, growth_delta=-0.1)
+        for delta in (-0.1, math.nan):
+            with pytest.raises(ParameterError):
+                frostman_measure(params7, 1, growth_delta=delta)
 
     def test_rejects_non_positive_weight(self):
         for weight in (0.0, -0.5, math.nan):

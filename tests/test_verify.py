@@ -60,19 +60,30 @@ class TestBoxDimension:
                 assert got == _reference_box_count(family.tolist(), s, offsets)
 
     def test_box_count_past_int64_is_exact(self):
-        # at t = 0.05 the finest default scale is about 3e-37, so box indices
-        # reach 1e36 and a key i*(jmax+1)+j does not fit in int64
+        # at t = 0.05 the finest scale of the m = 2, N = 8 ladder is about 3e-37,
+        # so box indices reach 1e36 and a key i*(jmax+1)+j does not fit in int64;
+        # box_dimension rejects that ladder, but scales between its floor and
+        # about 7e-10 still overflow the keys
         p = derive_params(0.05, 2.0, build_packing(2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = box_dimension("source", p, 8, seed=1)
+        centers = generation_centers(8, "source", p)
         rng = np.random.default_rng(np.random.SeedSequence(1))
-        pts = generation_centers(8, "source", p).tolist()
-        expected = tuple(
-            _reference_box_count(pts, s, rng.uniform(0.0, s, size=(32, 2))) for s in est.scales
-        )
-        assert est.scales[-1] < 1e-36
-        assert est.counts == expected
+        scales = [0.45 * p.source_ratio**k for k in range(7)]
+        assert scales[-1] < 1e-36
+        for s in scales:
+            offsets = rng.uniform(0.0, s, size=(32, 2))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _box_count(centers.real.copy(), centers.imag.copy(), s, offsets)
+            assert got == _reference_box_count(centers.tolist(), s, offsets)
+
+    def test_rejects_scales_below_the_spacing_of_the_centers(self):
+        # at t = 0.05, m = 7 the N = 4 ladder is 0.45, 5.6e-18 and 7.1e-35: its
+        # last two scales lie below the float64 spacing of centers near 0.5,
+        # where only 49 of the 2,401 centers are distinct
+        p = derive_params(0.05, 2.0, build_packing(7))
+        assert np.unique(generation_centers(4, "source", p)).size == 49
+        with pytest.raises(ParameterError, match="below 4096 float64 spacings"):
+            box_dimension("source", p, 4, seed=1)
 
     def test_tuned_t_one_grid_like(self):
         # pick (m, t) so the closed-form dimension is exactly 1 and recover it
