@@ -34,6 +34,9 @@ SEAM_RTOL = 1e-12
 #: Detection tolerance for the critical integrability exponent p = K/(K-1).
 CRITICAL_P_TOL = 1e-12
 
+#: Points per block of the batch descent: a block's temporaries take a few MB.
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class MapResult:
@@ -83,7 +86,15 @@ def _descend(
     level lay within :data:`SEAM_RTOL` of a seam.  A
     terminal point is in the identity region if ``d >= r``, else on the ring,
     which holds its inner seam ``d == ratio``.
+
+    Points go through in blocks of :data:`_BLOCK`, so that no temporary
+    grows with the batch; no output depends on the block.  A block's
+    frontier (frame points ``xf``, offsets ``af`` and indices ``at`` of the
+    points still descending) shrinks only at a level that some point
+    leaves, and a leaving point's outputs are written once, at that level.
     """
+    # the grid first, so that its tables lie below the batch's arrays on the heap
+    grid, centers = params.packing._grid, params.packing.centers
     ratio, affine, _ = _side_table(params, side)
     _check_depth(depth_max, affine)
     x = np.asarray(zs, dtype=np.complex128).ravel().copy()
@@ -98,22 +109,32 @@ def _descend(
     idx = np.zeros(n, dtype=np.int64)
     seam = np.zeros(n, dtype=bool)
     scales = [1.0]
-    active = np.arange(n)
-    for lv in range(depth_max):
-        if active.size == 0:
-            break
-        xa = x[active]
-        i, d = params.packing.nearest_center(xa)
-        seam[active[(np.abs(d - r) <= tol_r) | (np.abs(d - ratio) <= tol_in)]] = True
-        inside = d < ratio
-        final = np.flatnonzero(~inside)
-        done = active[final]
-        level[done], dist[done], idx[done] = lv, d[final], i[final]
-        active = active[inside]
-        c = params.packing.centers[i[inside]]
-        a[active] += scales[-1] * c
-        scales.append(scales[-1] * affine)
-        x[active] = (xa[inside] - c) / ratio
+    for start in range(0, n, _BLOCK):
+        at = np.arange(start, min(start + _BLOCK, n))
+        xf, af = x[start : start + _BLOCK], np.zeros(at.size, dtype=np.complex128)
+        for lv in range(depth_max):
+            if lv + 1 == len(scales):
+                scales.append(scales[-1] * affine)
+            i = grid.nearest(xf)
+            diff = xf - centers.take(i)
+            d = np.abs(diff)
+            seam[at[(np.abs(d - r) <= tol_r) | (np.abs(d - ratio) <= tol_in)]] = True
+            inside = d < ratio
+            if not inside.all():
+                final, keep = np.flatnonzero(~inside), np.flatnonzero(inside)
+                done = at[final]
+                level[done], dist[done], idx[done] = lv, d[final], i[final]
+                # at level 0 the frame point and its offset 0 are in place
+                if lv:
+                    x[done], a[done] = xf[final], af[final]
+                at, af = at[keep], af[keep]
+                i, diff = i[keep], diff[keep]
+                if at.size == 0:
+                    break
+            af += scales[lv] * centers.take(i)
+            xf = diff / ratio
+        else:
+            x[at], a[at] = xf, af
     return level, x, dist, idx, a, np.asarray(scales)[level], seam
 
 
@@ -303,6 +324,7 @@ class LpMassReport:
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
+        out["partial_sums"] = [v if math.isfinite(v) else "inf" for v in self.partial_sums]
         out["total"] = self.total if math.isfinite(self.total) else "inf"
         return out
 

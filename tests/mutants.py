@@ -73,6 +73,9 @@ MUTANTS = [
     ("growth radii from 4x the resolution", "nonremovable.py",
      "radii = np.geomspace(resolution, 2.0, 12)",
      "radii = np.geomspace(4.0 * resolution, 2.0, 12)"),
+    ("descent keeps the entry frame of leaving points", "qcmap.py",
+     "x[done], a[done] = xf[final], af[final]",
+     "a[done] = af[final]"),
 ]
 
 #: Tier-1 without the tests that only compare pinned outputs, and without

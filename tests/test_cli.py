@@ -359,6 +359,17 @@ def test_lp_mass_p1_is_pi():
     assert payload["closed_form"]["total"] == pytest.approx(3.141592653589793, abs=1e-9)
 
 
+def test_lp_mass_overflowing_partial_sums_are_valid_json():
+    # a finite level ratio near 1e293 overflows the partial sums to inf
+    proc = run_cli("lp-mass", "--m", "7", "--p", "800", "--n-max", "3")
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    closed = json.loads(proc.stdout, parse_constant=reject)["closed_form"]
+    assert closed["partial_sums"][1:] == ["inf", "inf"] and closed["total"] == "inf"
+
+
 def test_dry_run_skips_computation():
     proc = run_cli(
         "lp-mass", "--p", "1.5", "--m", "7", "--samples", "1000000000",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from cantorqc import (
 from descent import descents
 from fdtools import fd_derivatives as _fd
 from oracle_composition import literal_phi
+from test_golden import _chain, _disk
 
 RNG = np.random.default_rng
 
@@ -173,6 +175,57 @@ class TestValidation:
         assert 2.0 * params7.image_ratio**2000 == 0.0
         with pytest.raises(ParameterError, match="underflows"):
             _call(entry, 0j, params7, 2000)
+
+
+def _cylinders(params, ratio, n, rng):
+    """``n`` points in seeded cylinders of radius about 1e-12 under ``ratio``."""
+    k = round(math.log(1e-12) / math.log(ratio))
+    a, s = _chain(params.packing.centers, rng.integers(0, params.m, (n, k)), ratio)
+    return a + s * _disk(rng, n)
+
+
+class TestBatchKernels:
+    """Each point gets the same bits in any batch, which the kernels walk in
+    blocks of 65,536 points."""
+
+    N = 2 * 65536 + 123
+
+    @pytest.mark.parametrize("t, m", [(1.0, 7), (1.9, 217)])
+    def test_outputs_do_not_depend_on_the_batch(self, t, m):
+        p = derive_params(t, 2.0, build_packing(m))
+        rng = RNG(m)
+        half, quarter = self.N // 2, self.N // 4
+        z = np.concatenate([
+            _disk(rng, self.N - half),
+            _cylinders(p, p.source_ratio, quarter, rng),
+            _cylinders(p, p.image_ratio, half - quarter, rng),
+        ])[rng.permutation(self.N)]
+        cuts = [1, 65535, 65536, 65537, int(rng.integers(2, self.N - 1))]
+
+        def outputs(entry, zs):
+            out = entry(zs, p, 32)
+            return out if isinstance(out, tuple) else (out,)
+
+        for entry in BATCH_ENTRIES:
+            whole = outputs(entry, z)
+            for cut in cuts:
+                parts = zip(outputs(entry, z[:cut]), outputs(entry, z[cut:]), whole)
+                for head, tail, w in parts:
+                    joined = np.concatenate([head, tail])
+                    assert np.array_equal(joined.view(np.uint8), w.view(np.uint8)), (entry, cut)
+
+    def test_blocking_bounds_memory(self, params100):
+        # the per-point outputs take about 23 MB; temporaries of the whole
+        # batch, not of one block, would take some 20 MB more
+        z = _disk(RNG(4), 400_000)
+        jacobian_batch(z[:8], params100)
+        tracemalloc.start()
+        try:
+            jacobian_batch(z, params100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestLiteralOracle:
