@@ -14,13 +14,9 @@ from .geometry import (
     EnumerationCapError,
     PackingError,
     ParameterError,
-    Similarity,
     build_packing,
     derive_params,
     generation_centers,
-    generation_disks,
-    image_map,
-    source_map,
 )
 from .nonremovable import (
     CounterexampleReport,
@@ -28,7 +24,6 @@ from .nonremovable import (
     DiscreteMeasure,
     ImageIFS,
     build_counterexample,
-    cauchy_transform,
     cauchy_transform_batch,
     frostman_measure,
     max_admissible_epsilon,
@@ -52,7 +47,6 @@ from .qcmap import (
     phi_inverse,
     phi_inverse_batch,
     phi_map_fn,
-    terminal_info,
     unresolved_area,
 )
 from .verify import (

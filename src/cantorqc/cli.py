@@ -435,6 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ParameterError(f"seed must be >= 0, got {args.seed}")
         args.func(args)
     except ParameterError as exc:
         print(f"parameter rejection: {exc}", file=sys.stderr)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -57,24 +55,6 @@ class Disk:
             raise ParameterError(f"disk center must be finite, got {self.center}")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ParameterError(f"disk radius must be positive and finite, got {self.radius}")
-
-
-@dataclass(frozen=True)
-class Similarity:
-    """Complex affine map ``z -> a + b*z`` (a pure scale-rotation plus shift)."""
-
-    a: complex = 0j
-    b: complex = 1 + 0j
-
-    def __post_init__(self) -> None:
-        if self.b == 0:
-            raise ParameterError("similarity scale factor b must be nonzero")
-        for part in (self.a.real, self.a.imag, self.b.real, self.b.imag):
-            if not math.isfinite(part):
-                raise ParameterError("similarity coefficients must be finite")
-
-    def __call__(self, z: complex | np.ndarray) -> complex | np.ndarray:
-        return self.a + self.b * z
 
 
 # ---------------------------------------------------------------------------
@@ -567,17 +547,6 @@ def derive_params(t: float, K: float, packing: DiskPacking) -> ConstructionParam
 # ---------------------------------------------------------------------------
 # multi-index addressing
 
-#: A chain of child choices, root first; () addresses the unit disk itself.
-MultiIndex = tuple[int, ...]
-
-
-def _check_index(J: Sequence[int], m: int) -> MultiIndex:
-    J = tuple(int(j) for j in J)
-    for j in J:
-        if not (0 <= j < m):
-            raise ParameterError(f"multi-index digit {j} out of range [0, {m})")
-    return J
-
 
 def _chain_offsets(
     digits: np.ndarray, centers: np.ndarray, ratio: float
@@ -596,22 +565,6 @@ def _chain_offsets(
     return a, scale
 
 
-def _chain_map(J: Sequence[int], params: ConstructionParams, side: str) -> Similarity:
-    digits = np.array([_check_index(J, params.m)], dtype=np.intp)
-    a, scale = _chain_offsets(digits, params.packing.centers, params.ratio(side))
-    return Similarity(complex(a[0]), complex(scale))
-
-
-def source_map(J: Sequence[int], params: ConstructionParams) -> Similarity:
-    """Composite source similarity addressed by ``J`` (first digit outermost)."""
-    return _chain_map(J, params, "source")
-
-
-def image_map(J: Sequence[int], params: ConstructionParams) -> Similarity:
-    """Composite image similarity addressed by ``J`` (first digit outermost)."""
-    return _chain_map(J, params, "image")
-
-
 def _check_cap(m: int, N: int) -> None:
     if N < 0:
         raise ParameterError(f"generation N must be >= 0, got {N}")
@@ -628,12 +581,3 @@ def generation_centers(N: int, side: str, params: ConstructionParams) -> np.ndar
         out = (params.packing.centers[:, None] + ratio * out[None, :]).ravel()
     return out
 
-
-def generation_disks(
-    N: int, side: str, params: ConstructionParams
-) -> list[tuple[MultiIndex, Disk]]:
-    """All generation-``N`` disks with their multi-indices."""
-    centers = generation_centers(N, side, params)
-    radius = params.ratio(side) ** N if N > 0 else 1.0
-    indices = product(range(params.m), repeat=N)
-    return [(J, Disk(complex(c), radius)) for J, c in zip(indices, centers)]

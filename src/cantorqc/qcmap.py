@@ -42,10 +42,12 @@ _BLOCK = 1 << 16
 class MapResult:
     """A map value with a truncation certificate.
 
-    ``err_bound == 0`` means the recursion terminated and the value is exact
-    up to floating round-off; otherwise the value is the center of the
-    generation-``depth`` localizing disk and ``err_bound`` is that disk's
-    diameter.
+    ``err_bound == 0`` means the recursion terminated; it bounds no rounding.
+    Each level's frame map amplifies the input's rounding, so the forward
+    error grows with depth: at m = 7 against a 60-digit reference it was
+    3.7e-16 at depth 8 and 4.1e-14 (about 180 ulp) at depths 20-24.
+    Otherwise the value is the center of the generation-``depth`` localizing
+    disk and ``err_bound`` is that disk's diameter.
     """
 
     value: complex
@@ -264,26 +266,6 @@ def jacobian_batch(
     ring = np.isfinite(out) & (d < params.r)
     out[ring] = out[ring] * (1.0 / K) * (d[ring] / params.r) ** (2.0 * (1.0 / K - 1.0))
     return out.reshape(zs.shape)
-
-
-def terminal_info(
-    zs: np.ndarray, params: ConstructionParams, depth_max: int = 32
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Descent diagnostics per point: ``(depth, frame_distance, branch)``.
-
-    ``frame_distance`` is the nearest-center distance in the terminal frame's
-    unit-disk coordinates; ``branch`` is 0 in the identity region, 1 on an
-    annulus, 2 when still descending at ``depth_max``.  The gap between
-    ``frame_distance`` and the seam radii ``r`` and ``sigma*r`` measures how
-    safely a finite-difference stencil fits inside one smooth piece.
-    """
-    zs = np.asarray(zs, dtype=np.complex128)
-    level, x, d, _, _, _, _ = _descend(zs, params, "source", depth_max)
-    unresolved = level == depth_max
-    if unresolved.any():
-        d[unresolved] = params.packing.nearest_center(x[unresolved])[1]
-    branch = np.where(unresolved, 2, (d < params.r).astype(np.int64))
-    return level.reshape(zs.shape), d.reshape(zs.shape), branch.reshape(zs.shape)
 
 
 def phi_map_fn(

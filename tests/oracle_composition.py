@@ -12,19 +12,22 @@ from itertools import product
 import numpy as np
 
 
+def chain(J, params, side):
+    """``(a, b)`` of the composite similarity ``z -> a + b*z`` addressed by the
+    digits ``J`` on the ``"source"`` or ``"image"`` side, first digit outermost."""
+    z = params.packing.centers
+    q = params.sigma if side == "source" else params.sigma ** (1.0 / params.K)
+    q *= params.packing.r
+    a, b = 0j, 1.0
+    for digit in J:
+        a = a + b * z[digit]
+        b *= q
+    return a, b
+
+
 def stage_centers(params, k):
     """Image-side generation-k centers by explicit similarity composition."""
-    z = params.packing.centers
-    q = params.sigma ** (1.0 / params.K) * params.packing.r
-    out = []
-    for chain in product(range(params.m), repeat=k):
-        c = 0j
-        scale = 1.0
-        for digit in chain:
-            c = c + scale * z[digit]
-            scale *= q
-        out.append(c)
-    return np.asarray(out)
+    return np.asarray([chain(J, params, "image")[0] for J in product(range(params.m), repeat=k)])
 
 
 def stage_map(params, k):
@@ -63,18 +66,10 @@ def literal_phi(points, params, n_stages):
     for k in range(1, n_stages + 1):
         w = stage_map(params, k)(w)
 
-    z = params.packing.centers
-    sr = params.sigma * params.packing.r
-    src_centers = []
-    for chain in product(range(params.m), repeat=n_stages):
-        c = 0j
-        scale = 1.0
-        for digit in chain:
-            c = c + scale * z[digit]
-            scale *= sr
-        src_centers.append(c)
-    src_centers = np.asarray(src_centers)
+    src_centers = np.asarray(
+        [chain(J, params, "source")[0] for J in product(range(params.m), repeat=n_stages)]
+    )
     pts = np.asarray(points, dtype=np.complex128)
     dmin = np.abs(pts[:, None] - src_centers[None, :]).min(axis=1)
-    resolved = dmin >= sr**n_stages
+    resolved = dmin >= (params.sigma * params.packing.r) ** n_stages
     return w, resolved

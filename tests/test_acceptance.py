@@ -19,19 +19,18 @@ from cantorqc import (
     derive_params,
     generation_centers,
     holder_estimate,
-    image_map,
     lp_mass_closed_form,
     lp_mass_monte_carlo,
     packing_condition_check,
     phi_batch,
     phi_map_fn,
-    terminal_info,
     verify_counterexample,
 )
 import criterion12
+from cantorqc.qcmap import _descend
 from cantorqc.verify import box_dimension, generation_disk_growth
 from fdtools import fd_derivatives
-from oracle_composition import literal_phi
+from oracle_composition import chain, literal_phi
 
 
 def _verdict(num, text):
@@ -125,16 +124,16 @@ def test_criterion_05_seam_continuity(p7):
     worst = 0.0
     for gen, chains in ((1, [()]), (2, [(0,), (3,), (6,)]), (3, [(1, 2), (4, 5), (6, 0)])):
         for J in chains:
-            T = image_map(J, p7)
+            a, b = chain(J, p7, "image")
             for i in (0, 2, 5):
                 zi = p7.packing.centers[i]
                 inner = zi + p7.sigma * p7.r * np.exp(1j * theta)
                 linear = zi + p7.sigma**exp_in * (inner - zi)
                 radial = zi + (np.abs(inner - zi) / p7.r) ** exp_in * (inner - zi)
-                worst = max(worst, float(np.abs(T(linear) - T(radial)).max()))
+                worst = max(worst, float(np.abs((a + b * linear) - (a + b * radial)).max()))
                 outer = zi + p7.r * np.exp(1j * theta)
                 radial_o = zi + (np.abs(outer - zi) / p7.r) ** exp_in * (outer - zi)
-                worst = max(worst, float(np.abs(T(radial_o) - T(outer)).max()))
+                worst = max(worst, float(np.abs((a + b * radial_o) - (a + b * outer)).max()))
     assert worst <= 1e-12
     _verdict(5, f"seam pieces agree to {worst:.2e} over generations 1-3")
 
@@ -143,9 +142,9 @@ def test_criterion_06_quasiconformality(p100):
     p = p100
     rng = np.random.default_rng(606)
     z = rng.uniform(-1.05, 1.05, 40000) + 1j * rng.uniform(-1.05, 1.05, 40000)
-    depth, fdist, branch = terminal_info(z, p, 12)
+    depth, _, fdist, _, _, _, _ = _descend(z, p, "source", 12)
     margin = np.minimum(np.abs(fdist - p.r), np.abs(fdist - p.sigma * p.r))
-    keep = (branch != 2) & (depth <= 2) & (margin > 1e-3)
+    keep = (depth <= 2) & (margin > 1e-3)
     z, depth = z[keep], depth[keep]
     assert z.size >= 10**4
     h = 1e-6 * p.r * p.source_ratio ** depth.astype(float)

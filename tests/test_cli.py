@@ -338,14 +338,20 @@ _BAD_COUNTS = [
     ("packing --N 2 --m 7 --trials 5 --s inf", "packing exponent s = inf must be finite"),
     ("holder --m 19 --target nan", "Hölder target exponent must be finite, got nan"),
     ("glue --t 1 --K 2 --hosts=nan,0.0,0.1 --piece-m 7", "disk center must be finite"),
+    ("lp-mass --m 7 --samples 100 --seed -1", "seed must be >= 0, got -1"),
+    ("dimension --m 7 --seed -1", "seed must be >= 0, got -1"),
+    ("holder --m 7 --seed -1", "seed must be >= 0, got -1"),
+    ("packing --m 7 --seed -1", "seed must be >= 0, got -1"),
+    ("growth --m 7 --seed -1", "seed must be >= 0, got -1"),
+    ("cauchy --alpha 0.5 --t 1.6 --seed -1", "seed must be >= 0, got -1"),
 ]
 
 
 @pytest.mark.parametrize("argv, condition", _BAD_COUNTS, ids=[a for a, _ in _BAD_COUNTS])
 def test_counts_that_certify_nothing_are_rejected(argv, condition, capsys):
-    # a negative count would crash in NumPy or pass for 0; no trial, or too few
-    # draws for a standard error, certifies nothing; nor does a NaN or infinite
-    # exponent or host center, which every comparison lets through
+    # a negative count or seed would crash in NumPy or pass for 0; no trial, or
+    # too few draws for a standard error, certifies nothing; nor does a NaN or
+    # infinite exponent or host center, which every comparison lets through
     assert cli.main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == ""

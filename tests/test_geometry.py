@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,22 +12,13 @@ from cantorqc import (
     EnumerationCapError,
     PackingError,
     ParameterError,
-    Similarity,
     build_packing,
     derive_params,
     generation_centers,
-    generation_disks,
-    image_map,
-    source_map,
 )
 from cantorqc.geometry import _REFINE, _CellGrid, _rows
 from descent import descents
-
-
-class TestSimilarity:
-    def test_rejects_zero_scale(self):
-        with pytest.raises(ParameterError):
-            Similarity(0j, 0j)
+from oracle_composition import chain
 
 
 class TestBuildPacking:
@@ -261,65 +253,67 @@ class TestDeriveParams:
         }
 
 
+def _index(J, m):
+    """Place of the multi-index ``J`` in lexicographic generation order."""
+    return sum(j * m ** (len(J) - 1 - k) for k, j in enumerate(J))
+
+
 class TestMultiIndexMaps:
+    """Generation centers against the digit-by-digit composition of the oracle."""
+
     def test_empty_chain_is_identity(self, params7):
-        f = source_map((), params7)
-        assert f.a == 0j and f.b == 1 + 0j
+        assert chain((), params7, "source") == (0j, 1.0)
+        assert generation_centers(0, "source", params7).tolist() == [0j]
 
     def test_single_digit(self, params7):
-        i = 3
-        f, g = source_map((i,), params7), image_map((i,), params7)
-        zi = params7.packing.centers[i]
-        assert f(0) == zi and g(0) == zi
-        assert abs(f.b) == pytest.approx(params7.source_ratio)
-        assert abs(g.b) == pytest.approx(params7.image_ratio)
+        zi = params7.packing.centers[3]
+        for side in ("source", "image"):
+            a, b = chain((3,), params7, side)
+            assert a == zi and generation_centers(1, side, params7)[3] == zi
+            assert b == pytest.approx(params7.ratio(side))
 
     def test_two_digit_composition(self, params7):
         i, j = 2, 5
-        g = image_map((i, j), params7)
         zi, zj = params7.packing.centers[i], params7.packing.centers[j]
-        assert g(0) == pytest.approx(zi + params7.image_ratio * zj, rel=1e-15)
-        assert abs(g.b) == pytest.approx(params7.image_ratio**2, rel=1e-15)
+        a, b = chain((i, j), params7, "image")
+        assert a == pytest.approx(zi + params7.image_ratio * zj, rel=1e-15)
+        assert b == pytest.approx(params7.image_ratio**2, rel=1e-15)
+        center = generation_centers(2, "image", params7)[_index((i, j), params7.m)]
+        assert center == pytest.approx(zi + params7.image_ratio * zj, rel=1e-15)
 
     def test_child_center_recursion(self, params7):
         J = (1, 4)
+        a, b = chain(J, params7, "source")
+        children = generation_centers(3, "source", params7)
         for i in range(params7.m):
-            child = source_map(J + (i,), params7)(0)
-            parent_of_zi = source_map(J, params7)(params7.packing.centers[i])
-            assert child == pytest.approx(parent_of_zi, rel=1e-15)
-
-    def test_bad_digit_rejected(self, params7):
-        with pytest.raises(ParameterError):
-            source_map((0, 7), params7)
+            parent_of_zi = a + b * params7.packing.centers[i]
+            assert children[_index(J + (i,), params7.m)] == pytest.approx(parent_of_zi, rel=1e-15)
 
 
 class TestGenerationDisks:
     def test_generation_zero(self, params7):
-        disks = generation_disks(0, "source", params7)
-        assert disks == [((), Disk(0j, 1.0))]
+        assert generation_centers(0, "source", params7).tolist() == [0j]
 
     def test_generation_one_source(self, params7):
-        disks = generation_disks(1, "source", params7)
-        assert len(disks) == 7
-        for (J, d) in disks:
-            assert d.radius == pytest.approx(params7.source_ratio)
-            assert d.center == params7.packing.centers[J[0]]
+        centers = generation_centers(1, "source", params7)
+        assert centers.tolist() == params7.packing.centers.tolist()
 
     def test_generation_two_image_count_and_radius(self, params7):
-        disks = generation_disks(2, "image", params7)
-        assert len(disks) == 49
-        for J, d in disks:
-            assert d.radius == pytest.approx(params7.image_ratio**2)
-            assert d.center == pytest.approx(image_map(J, params7)(0))
+        centers = generation_centers(2, "image", params7)
+        assert centers.size == 49
+        for k, J in enumerate(product(range(params7.m), repeat=2)):
+            a, b = chain(J, params7, "image")
+            assert b == pytest.approx(params7.image_ratio**2)
+            assert centers[k] == pytest.approx(a)
 
     def test_centers_match_disks_order(self, params7):
         centers = generation_centers(3, "image", params7)
-        disks = generation_disks(3, "image", params7)
-        assert np.allclose(centers, [d.center for _, d in disks])
+        composed = [chain(J, params7, "image")[0] for J in product(range(params7.m), repeat=3)]
+        assert np.allclose(centers, composed)
 
     def test_cap(self, params7):
         with pytest.raises(EnumerationCapError):
-            generation_disks(9, "source", params7)
+            generation_centers(9, "source", params7)
 
     def test_side_is_source_or_image(self, params7):
         assert params7.ratio("source") == params7.source_ratio
@@ -331,11 +325,9 @@ class TestGenerationDisks:
         # child generating disk sits inside its protecting disk, which sits
         # inside the parent generating disk
         J = (2, 6)
-        T = source_map(J, params7)
-        parent = Disk(T.a, abs(T.b))
+        parent = Disk(*chain(J, params7, "source"))
         for i in range(params7.m):
-            T = source_map(J + (i,), params7)
-            child = Disk(T.a, abs(T.b))
+            child = Disk(*chain(J + (i,), params7, "source"))
             protect = Disk(child.center, child.radius / params7.sigma)
             assert abs(child.center - protect.center) + child.radius <= protect.radius + 1e-15
             assert abs(protect.center - parent.center) + protect.radius < parent.radius
@@ -343,9 +335,8 @@ class TestGenerationDisks:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_same_generation_disjoint(self, N):
         p = derive_params(1.0, 2.0, build_packing(4))
-        disks = [d for _, d in generation_disks(N, "source", p)]
-        centers = np.array([d.center for d in disks])
-        radius = disks[0].radius
+        centers = generation_centers(N, "source", p)
+        radius = p.source_ratio**N
         dist = np.abs(centers[:, None] - centers[None, :])
         np.fill_diagonal(dist, np.inf)
         assert dist.min() > 2 * radius

@@ -2,7 +2,7 @@
 
 Seeded unit-disk points, points of random source and image cylinders of
 radius about 1e-12, and points on the seam circles of the first three
-generations go through the four batch entry points and, on a subsample,
+generations go through the three batch entry points and, on a subsample,
 the three scalar ones, at m in {7, 19, 217}, K in {1, 2} and depth_max in
 {1, 5, 32}.  Each test pins the SHA-256 of one entry point's outputs over
 all 18 configurations, so a rewrite of the descent must reproduce every
@@ -31,7 +31,6 @@ from cantorqc import (
     phi_batch,
     phi_inverse,
     phi_inverse_batch,
-    terminal_info,
 )
 
 #: (t, m) per layout; t = 1.9 at m = 217 leaves a thin annulus (sigma near 1).
@@ -44,7 +43,6 @@ DIGESTS = {
     "phi_batch": "ad557ba23bffa896a1b08592775906adfcc725803e03ff2cf2c87ae64693cdf1",
     "phi_inverse_batch": "4a605f9476debec5ff58e03cbd02b96e74595e7429dca512d3ff2eb018aba695",
     "jacobian_batch": "084ca335568cf68963757f8d6ba5e1dc97fda0304bac6f5a5640b48de5f84482",
-    "terminal_info": "05f3a9f51801aca02d9f104c061290c9088d0427ec7f814d82b998ac3098429c",
     "scalar": "e3095ea81f68c35633d0692da48b80f35227a1ee780a4c99d06c331add6eb799",
 }
 
@@ -111,8 +109,6 @@ def _digest(name):
             _update(h, *phi_inverse_batch(zs, p, depth_max))
         elif name == "jacobian_batch":
             _update(h, jacobian_batch(zs, p, depth_max))
-        elif name == "terminal_info":
-            _update(h, *terminal_info(zs, p, depth_max))
         else:
             pts = [complex(z) for fam in families for z in fam[:: fam.size // N_SCALAR]]
             results = (

@@ -16,7 +16,6 @@ from cantorqc import (
     build_packing,
     derive_params,
     glued_map,
-    image_map,
     jacobian,
     jacobian_batch,
     lp_mass_closed_form,
@@ -26,13 +25,12 @@ from cantorqc import (
     phi_batch,
     phi_inverse,
     phi_inverse_batch,
-    source_map,
-    terminal_info,
     unresolved_area,
 )
+from cantorqc.qcmap import _descend
 from descent import descents
 from fdtools import fd_derivatives as _fd
-from oracle_composition import literal_phi
+from oracle_composition import chain, literal_phi
 from test_golden import _chain, _disk
 
 RNG = np.random.default_rng
@@ -91,8 +89,8 @@ class TestPhi:
 
     def test_centers_map_to_image_centers(self, params7):
         for J in [(0,), (3,), (2, 5), (6, 1, 4)]:
-            res = phi(source_map(J, params7)(0), params7, depth_max=40)
-            target = image_map(J, params7)(0)
+            res = phi(chain(J, params7, "source")[0], params7, depth_max=40)
+            target = chain(J, params7, "image")[0]
             assert abs(res.value - target) <= res.err_bound + 1e-10
 
     def test_origin_fixed(self, params7):
@@ -110,11 +108,11 @@ class TestPhi:
         z = (rng.uniform(-0.9, 0.9, 300) + 1j * rng.uniform(-0.9, 0.9, 300))
         z = z[np.abs(z) < 1.0]
         for i in range(params7.m):
-            src = source_map((i,), params7)
-            img = image_map((i,), params7)
-            lhs, _, e1 = phi_batch(src(z), params7, 41)
+            sa, sb = chain((i,), params7, "source")
+            ia, ib = chain((i,), params7, "image")
+            lhs, _, e1 = phi_batch(sa + sb * z, params7, 41)
             inner, _, e2 = phi_batch(z, params7, 40)
-            rhs = img(inner)
+            rhs = ia + ib * inner
             bound = e1 + params7.image_ratio * e2 + 1e-10
             assert (np.abs(lhs - rhs) <= bound).all()
 
@@ -142,7 +140,7 @@ class TestPhi:
 
 
 SCALAR_ENTRIES = (phi, phi_inverse, jacobian)
-BATCH_ENTRIES = (phi_batch, phi_inverse_batch, jacobian_batch, terminal_info)
+BATCH_ENTRIES = (phi_batch, phi_inverse_batch, jacobian_batch)
 
 
 def _call(entry, z, params, depth_max):
@@ -244,8 +242,9 @@ class TestLiteralOracle:
         zi = complex(params7.packing.centers[1])
         pts = []
         for J in [(), (2,), (4, 3)]:
-            T = source_map(J, params7)
-            pts += [T(zi + 0.99 * params7.r), T(zi + 0.5 * (1 + params7.sigma) * params7.r)]
+            a, b = chain(J, params7, "source")
+            for u in (zi + 0.99 * params7.r, zi + 0.5 * (1 + params7.sigma) * params7.r):
+                pts.append(a + b * u)
         pts = np.asarray(pts)
         lit, resolved = literal_phi(pts, params7, 3)
         assert resolved.all()
@@ -261,16 +260,16 @@ class TestSeams:
         theta = np.linspace(0.0, 2 * math.pi, 100, endpoint=False)
         chains = [(), (3,), (5, 1)][: gen]
         J = chains[gen - 1]
-        T_img = image_map(J, p)
+        a, b = chain(J, p, "image")
         for i in (0, 4):
             zi = p.packing.centers[i]
             inner = zi + p.sigma * p.r * np.exp(1j * theta)
             linear = zi + p.sigma**exp_in * (inner - zi)
             radial = zi + (np.abs(inner - zi) / p.r) ** exp_in * (inner - zi)
-            assert np.abs(T_img(linear) - T_img(radial)).max() < 1e-12
+            assert np.abs((a + b * linear) - (a + b * radial)).max() < 1e-12
             outer = zi + p.r * np.exp(1j * theta)
             radial_out = zi + (np.abs(outer - zi) / p.r) ** exp_in * (outer - zi)
-            assert np.abs(T_img(radial_out) - T_img(outer)).max() < 1e-12
+            assert np.abs((a + b * radial_out) - (a + b * outer)).max() < 1e-12
 
 
 class TestInverse:
@@ -295,8 +294,8 @@ class TestInverse:
 
     def test_image_centers_pull_back(self, params7):
         for J in [(1,), (4, 2), (0, 6, 3)]:
-            res = phi_inverse(image_map(J, params7)(0), params7, 40)
-            target = source_map(J, params7)(0)
+            res = phi_inverse(chain(J, params7, "image")[0], params7, 40)
+            target = chain(J, params7, "source")[0]
             assert abs(res.value - target) <= res.err_bound + 1e-10
 
 
@@ -357,9 +356,9 @@ class TestJacobian:
         p = params100
         rng = RNG(21)
         z = rng.uniform(-1.05, 1.05, 4000) + 1j * rng.uniform(-1.05, 1.05, 4000)
-        depth, fdist, branch = terminal_info(z, p, 12)
+        depth, _, fdist, _, _, _, _ = _descend(z, p, "source", 12)
         margin = np.minimum(np.abs(fdist - p.r), np.abs(fdist - p.sigma * p.r))
-        keep = (branch != 2) & (margin > 1e-4) & (depth <= 2)
+        keep = (margin > 1e-4) & (depth <= 2)
         z = z[keep]
         jac = jacobian_batch(z, p, 12)
         scale = (p.source_ratio ** depth[keep].astype(float)) * p.r

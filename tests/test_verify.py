@@ -13,14 +13,13 @@ from cantorqc import (
     generation_centers,
     generation_disk_growth,
     holder_estimate,
-    image_map,
     integral_growth_check,
     packing_condition_check,
     phi_batch,
     phi_map_fn,
-    source_map,
 )
 from cantorqc.verify import _box_count
+from oracle_composition import chain
 
 
 def _reference_box_count(pts, scale, offsets):
@@ -120,10 +119,8 @@ class TestHolder:
         p = params100
         J = (7, 3)
         i, j = 2, 9
-        z1 = source_map(J + (i,), p)(0)
-        z2 = source_map(J + (j,), p)(0)
-        w1 = image_map(J + (i,), p)(0)
-        w2 = image_map(J + (j,), p)(0)
+        z1, z2 = (chain(J + (k,), p, "source")[0] for k in (i, j))
+        w1, w2 = (chain(J + (k,), p, "image")[0] for k in (i, j))
         vals, _, errs = phi_batch(np.array([z1, z2]), p, 44)
         measured = abs(vals[0] - vals[1])
         assert measured == pytest.approx(abs(w1 - w2), abs=2 * errs.max() + 1e-12)
