@@ -12,6 +12,7 @@ import argparse
 import cmath
 import contextlib
 import json
+import math
 import os
 import stat
 import sys
@@ -437,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ParameterError(f"seed must be >= 0, got {args.seed}")
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"--{name.replace('_', '-')} must be finite, got {value}")
         args.func(args)
     except ParameterError as exc:
         print(f"parameter rejection: {exc}", file=sys.stderr)

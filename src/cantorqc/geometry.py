@@ -39,6 +39,16 @@ class EnumerationCapError(ParameterError):
     """A generation enumeration would exceed :data:`ENUMERATION_CAP`."""
 
 
+def _finite_points(zs, what: str) -> np.ndarray:
+    """``zs`` as a flat complex array; a non-finite point raises
+    :class:`ParameterError` naming ``what`` and the first such point."""
+    flat = np.asarray(zs, dtype=np.complex128).ravel()
+    if not np.isfinite(flat).all():
+        bad = np.flatnonzero(~np.isfinite(flat))[0]
+        raise ParameterError(f"{what} must be finite; point {bad} is {flat[bad]}")
+    return flat
+
+
 # ---------------------------------------------------------------------------
 # elementary geometry
 

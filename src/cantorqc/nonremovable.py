@@ -33,7 +33,9 @@ cluster beyond the distance of a first, greedy atom.  Both widen cluster
 disks far beyond rounding and compare atoms as a KD-tree would, by
 ``dx*dx + dy*dy``.  Leaves hold at most :data:`LEAF` atoms; a measure without
 an IFS, or of at most :data:`LEAF` atoms, is one leaf.  Atoms are still
-enumerated.
+enumerated.  The transform adds each point's terms one at a time in the
+order of the tree's clusters, so like the atom queries it is batch-invariant:
+a point gets the same bits whatever other points share the call.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import numpy as np
 from .geometry import (
     ENUMERATION_CAP,
     _CellGrid,
+    _finite_points,
     _sq_dist,
     ConstructionParams,
     ParameterError,
@@ -255,9 +258,7 @@ class DiscreteMeasure:
         opens the others, through ``grid`` if given, and their children carry
         their tag.  ``leaf(pt, atoms, tags)`` takes the pairs left at the
         leaves in blocks of at most :data:`_PAIRS` atoms, ``atoms[i]`` a copy
-        of the leaf of ``pt[i]``.  Without a grid the pairs stay in point
-        order, as :func:`_scatter_add` needs.  A measure of one leaf has no
-        levels.
+        of the leaf of ``pt[i]``.  A measure of one leaf has no levels.
         """
         ifs = self._tree
         if ifs is None:
@@ -297,7 +298,7 @@ class DiscreteMeasure:
         The counts are kept as their changes from each sorted radius to the
         next, so that a cluster adds its atoms to a whole range at once.
         """
-        centers = np.asarray(centers, dtype=np.complex128).ravel()
+        centers = _finite_points(centers, "ball centers")
         radii = np.asarray(radii, dtype=float)
         order = np.argsort(radii)
         r = radii[order]
@@ -348,9 +349,10 @@ class DiscreteMeasure:
         comes within the bound opens only the children its grid lists: every
         child for a point far outside it, or for a cluster too small to grid.
         At the atoms' parents the grid lists the atoms that can be nearest.
+        A non-finite point raises :class:`ParameterError`.
         """
         zs = np.asarray(zs, dtype=np.complex128)
-        flat = zs.ravel()
+        flat = _finite_points(zs, "atom query points")
         best = np.full(flat.size, math.inf)
         bound = np.empty(flat.size)
         ifs = self._tree
@@ -388,7 +390,8 @@ class DiscreteMeasure:
 
     def growth_ratio(self, centers: np.ndarray, radii: np.ndarray) -> float:
         """Max of ``mass(B)/rho**s`` over all (center, radius) combinations,
-        each ball weighed by counting its atoms."""
+        each ball weighed by counting its atoms; a non-finite center raises
+        :class:`ParameterError`."""
         radii = np.asarray(radii, dtype=float)
         best = 0.0
         for rho, count in zip(radii, self._ball_counts(centers, radii).max(axis=0)):
@@ -449,15 +452,6 @@ def frostman_measure(
 # Cauchy transform
 
 
-def _scatter_add(acc: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """``acc[idx] += values`` for non-decreasing ``idx``, repeated indices accumulated."""
-    if idx.size:
-        lo, idx = idx[0], idx - idx[0]
-        window = acc[lo : lo + idx[-1] + 1]
-        window.real += np.bincount(idx, weights=values.real, minlength=window.size)
-        window.imag += np.bincount(idx, weights=values.imag, minlength=window.size)
-
-
 def _laurent(u: np.ndarray, u2: np.ndarray, mu: np.ndarray, radius: float) -> np.ndarray:
     """``sum_n mu_n u**-(n+1)`` for ``|u| >= radius/THETA`` (``u2 = |u|**2``),
     each entry to the order of its band of ``radius/|u|``."""
@@ -481,12 +475,7 @@ def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
     """``(1/pi) * sum_k weight / (z - p_k)`` at each point of ``zs``, by the walk
     of the module docstring; a non-finite point raises :class:`ParameterError`."""
     zs = np.asarray(zs, dtype=np.complex128)
-    flat = zs.ravel()
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise ParameterError(
-            f"Cauchy transform points must be finite; point {bad[0]} is {flat[bad[0]]}"
-        )
+    flat = _finite_points(zs, "Cauchy transform points")
     acc = np.zeros(flat.size, dtype=np.complex128)
     ifs, weight = measure._tree, measure.weight
 
@@ -499,13 +488,13 @@ def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
         radius = ifs.radius(k)
         far = u2 >= (radius / THETA) ** 2
         series = _laurent(u[far], u2[far], ifs.moments[k], radius)
-        _scatter_add(acc, pt[far], series * (weight / scale))
+        np.add.at(acc, pt[far], series * (weight / scale))
         return ~far
 
     def leaf(pt, atoms, _tags):
         terms = flat[pt][:, None] - atoms
         np.divide(weight, terms, out=terms)
-        _scatter_add(acc, pt, terms.sum(axis=1))
+        np.add.at(acc, pt, terms.sum(axis=1))
 
     measure._walk(flat, finish, leaf)
     acc /= math.pi
@@ -517,10 +506,10 @@ def cauchy_transform_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(1/pi) * sum_k weight / (z - p_k)`` with a near-atom flag per point.
 
-    Summed to the accuracy of the direct sum.  Points closer than half the
-    resolution to some atom are flagged: there the discrete transform no
-    longer approximates its continuous limit.  A non-finite point raises
-    :class:`ParameterError`.
+    Summed to the accuracy of the direct sum, with the same bits for a point
+    in any batch.  Points closer than half the resolution to some atom are
+    flagged: there the discrete transform no longer approximates its
+    continuous limit.  A non-finite point raises :class:`ParameterError`.
     """
     values = _cauchy_values(measure, zs)
     return values, measure.nearest_atom_distance(zs) < measure.resolution / 2.0
@@ -686,10 +675,7 @@ def dbar_max(spec: CounterexampleSpec, grid: int = 40) -> float:
     keep = dist >= 2.0 * spec.measure.resolution
     zs, dist = zs[keep], dist[keep]
     h = np.minimum(dist / 1000.0, 2e-6)
-    gxp = _cauchy_values(spec.measure, zs + h)
-    gxm = _cauchy_values(spec.measure, zs - h)
-    gyp = _cauchy_values(spec.measure, zs + 1j * h)
-    gym = _cauchy_values(spec.measure, zs - 1j * h)
+    gxp, gxm, gyp, gym = _cauchy_values(spec.measure, zs + np.array([[1], [-1], [1j], [-1j]]) * h)
     fx = (gxp - gxm) / (2.0 * h)
     fy = (gyp - gym) / (2.0 * h)
     dbar = 0.5 * (fx + 1j * fy)

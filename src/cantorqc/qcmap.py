@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ConstructionParams, Disk, ParameterError, _chain_offsets
+from .geometry import ConstructionParams, Disk, ParameterError, _chain_offsets, _finite_points
 
 #: Relative half-width of the band around each seam circle where the
 #: Jacobian is reported as undefined rather than picked from one side.
@@ -99,10 +99,7 @@ def _descend(
     grid, centers = params.packing._grid, params.packing.centers
     ratio, affine, _ = _side_table(params, side)
     _check_depth(depth_max, affine)
-    x = np.asarray(zs, dtype=np.complex128).ravel().copy()
-    if not np.isfinite(x).all():
-        bad = np.flatnonzero(~np.isfinite(x))[0]
-        raise ParameterError(f"map points must be finite; point {bad} is {x[bad]}")
+    x = _finite_points(zs, "map points").copy()
     n, r = x.size, params.r
     tol_r, tol_in = SEAM_RTOL * r, SEAM_RTOL * ratio
     a = np.zeros(n, dtype=np.complex128)

@@ -73,6 +73,10 @@ MUTANTS = [
     ("growth radii from 4x the resolution", "nonremovable.py",
      "radii = np.geomspace(resolution, 2.0, 12)",
      "radii = np.geomspace(4.0 * resolution, 2.0, 12)"),
+    ("transform leaf sums added per leaf block", "nonremovable.py",
+     "np.add.at(acc, pt, terms.sum(axis=1))",
+     "acc[pt[0] : pt[-1] + 1] += np.bincount(pt - pt[0], terms.sum(axis=1).real)"
+     " + 1j * np.bincount(pt - pt[0], terms.sum(axis=1).imag)"),
     ("descent keeps the entry frame of leaving points", "qcmap.py",
      "x[done], a[done] = xf[final], af[final]",
      "a[done] = af[final]"),

@@ -331,12 +331,12 @@ _BAD_COUNTS = [
     ("lp-mass --p 1.5 --m 19 --samples 6 --depth 6 --seed 1",
      "stratified samples must be >= 2*depth_max = 12, got 6"),
     ("lp-mass --m 7 --samples 1 --method uniform", "uniform samples must be >= 2, got 1"),
-    ("lp-mass --m 7 --p nan", "p must be finite and >= 1, got nan"),
-    ("lp-mass --m 7 --p inf", "p must be finite and >= 1, got inf"),
+    ("lp-mass --m 7 --p nan", "--p must be finite, got nan"),
+    ("lp-mass --m 7 --p inf", "--p must be finite, got inf"),
     ("lp-mass --m 7 --p 1e308", "p = 1e+308 overflows K**p or sigma**gamma in float64"),
-    ("packing --N 2 --m 7 --trials 5 --s nan", "packing exponent s = nan must be finite"),
-    ("packing --N 2 --m 7 --trials 5 --s inf", "packing exponent s = inf must be finite"),
-    ("holder --m 19 --target nan", "Hölder target exponent must be finite, got nan"),
+    ("packing --N 2 --m 7 --trials 5 --s nan", "--s must be finite, got nan"),
+    ("packing --N 2 --m 7 --trials 5 --s inf", "--s must be finite, got inf"),
+    ("holder --m 19 --target nan", "--target must be finite, got nan"),
     ("glue --t 1 --K 2 --hosts=nan,0.0,0.1 --piece-m 7", "disk center must be finite"),
     ("lp-mass --m 7 --samples 100 --seed -1", "seed must be >= 0, got -1"),
     ("dimension --m 7 --seed -1", "seed must be >= 0, got -1"),
@@ -344,6 +344,10 @@ _BAD_COUNTS = [
     ("packing --m 7 --seed -1", "seed must be >= 0, got -1"),
     ("growth --m 7 --seed -1", "seed must be >= 0, got -1"),
     ("cauchy --alpha 0.5 --t 1.6 --seed -1", "seed must be >= 0, got -1"),
+    ("cauchy --alpha nan --t 1.9 --dry-run", "--alpha must be finite, got nan"),
+    ("cauchy --alpha 0.5 --t 1.9 --K inf --dry-run", "--K must be finite, got inf"),
+    ("lp-mass --p nan --dry-run", "--p must be finite, got nan"),
+    ("holder --target inf --dry-run", "--target must be finite, got inf"),
 ]
 
 
@@ -351,7 +355,8 @@ _BAD_COUNTS = [
 def test_counts_that_certify_nothing_are_rejected(argv, condition, capsys):
     # a negative count or seed would crash in NumPy or pass for 0; no trial, or
     # too few draws for a standard error, certifies nothing; nor does a NaN or
-    # infinite exponent or host center, which every comparison lets through
+    # infinite option or host center, which every comparison lets through,
+    # and --dry-run would print as bare NaN or Infinity
     assert cli.main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == ""

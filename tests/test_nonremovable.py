@@ -26,10 +26,12 @@ from cantorqc import (
 from cantorqc.nonremovable import (
     _BAND_ORDERS,
     _BAND_RATIOS,
+    _PAIRS,
     LEAF,
     THETA,
     ImageIFS,
     P,
+    _leaf_levels,
     dbar_max,
     residue_error,
 )
@@ -66,6 +68,19 @@ def _seeded_points(mu, seed, n_disk, n_near, n_ring):
     )
     rings = [R * np.exp(2j * math.pi * rng.uniform(size=n_ring)) for R in (10.0, 100.0)]
     return np.concatenate([disk, near, *rings])
+
+
+def _between_sibling_leaves(mu, seed, n):
+    """Points between two sibling leaves of the tree walk, near the middle, so
+    that most points reach both leaves and their leaf pairs can straddle two
+    leaf blocks."""
+    rng = np.random.default_rng(seed)
+    m = mu.ifs.m
+    leaves = mu.positions.reshape(-1, m, m ** _leaf_levels(m)).mean(axis=2)
+    parent, j = rng.integers(0, leaves.shape[0], n), rng.integers(0, m, n)
+    k = (j + rng.integers(1, m, n)) % m
+    a, b = leaves[parent, j], leaves[parent, k]
+    return a + rng.uniform(0.4, 0.6, n) * (b - a)
 
 
 class TestFrostmanMeasure:
@@ -181,6 +196,16 @@ class TestAtomQueries:
             zs = _seeded_points(mu, 32, 500, 200, 20)
             ref, _ = _kd_tree(mu).query(np.column_stack([zs.real, zs.imag]))
             assert np.array_equal(mu.nearest_atom_distance(zs), ref)
+
+    @pytest.mark.parametrize("name", ["m7-N5", "small"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_points_rejected(self, tree_measures, name, bad):
+        # a point that is nowhere has no nearest atom and no ball about it
+        mu = tree_measures[name]
+        with pytest.raises(ParameterError, match="atom query points must be finite; point 1 is"):
+            mu.nearest_atom_distance(np.array([0.3, bad, 0.2j]))
+        with pytest.raises(ParameterError, match="ball centers must be finite; point 1 is"):
+            mu.growth_ratio(np.array([0.3, bad]), np.array([0.1, 0.5]))
 
     @pytest.mark.parametrize("name", ["criterion-11", "m7-N5", "small", "plain"])
     def test_growth_ratio_counts(self, tree_measures, name):
@@ -334,6 +359,20 @@ class TestCauchyTransform:
         # 7**5 atoms in leaves of 7**3: the descent expands two levels
         mu = frostman_measure(params7, 5)
         _assert_tree_matches_direct(mu, _seeded_points(mu, 12, 200, 100, 20))
+
+    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5"])
+    def test_split_changes_no_bit(self, tree_measures, name):
+        # each point's terms are added in node order whatever shares its
+        # chunk or leaf block: splits at 1, at the chunk boundary, one past
+        # it and at a seeded cut give the bits of one call
+        mu = tree_measures[name]
+        step = _PAIRS // mu.ifs.m
+        zs = _between_sibling_leaves(mu, 46, step + 700)
+        whole = cauchy_transform_batch(mu, zs)
+        for cut in (1, step, step + 1, int(np.random.default_rng(47).integers(2, zs.size))):
+            parts = zip(cauchy_transform_batch(mu, zs[:cut]), cauchy_transform_batch(mu, zs[cut:]))
+            for got, want in zip(parts, whole):
+                assert np.array_equal(np.concatenate(got), want), cut
 
     def test_direct_expression_kept_for_small_or_plain_measures(self, params7):
         small = frostman_measure(params7, 2)

@@ -436,6 +436,13 @@ class TestLpMassClosedForm:
         with pytest.raises(ParameterError):
             lp_mass_closed_form(0.5, params7)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_rejects_non_finite_p(self, params7, p):
+        with pytest.raises(ParameterError, match=f"p must be finite and >= 1, got {p}"):
+            lp_mass_closed_form(p, params7)
+        with pytest.raises(ParameterError, match=f"p must be finite and >= 1, got {p}"):
+            lp_mass_monte_carlo(p, params7, 100, 6, seed=0)
+
 
 #: SHA-256 of ``(estimate, stderr, undefined_fraction)`` from both Monte Carlo
 #: methods at p in {1, 1.5} over four layouts, so that a rewrite of the

@@ -142,6 +142,12 @@ class TestHolder:
         b = holder_estimate(phi_map_fn(params7), 0.75, cfg, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_rejects_non_finite_target(self, params7, target):
+        cfg = HolderConfig(params=params7, n_uniform=10, n_stratified=10)
+        with pytest.raises(ParameterError, match=f"target exponent must be finite, got {target}"):
+            holder_estimate(phi_map_fn(params7), target, cfg, seed=0)
+
     def test_certified_bound_inflation(self, params7):
         # at depth 1 almost nothing resolves; every surviving ratio must carry
         # the truncation bounds, and unresolvable pairs leave the regression
@@ -224,6 +230,11 @@ class TestPackingCondition:
     def test_rejects_s_below_t(self, params7):
         with pytest.raises(ParameterError):
             packing_condition_check(2, 0.5 * params7.t, 10, seed=0, params=params7)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_rejects_non_finite_s(self, params7, s):
+        with pytest.raises(ParameterError, match=f"packing exponent s = {s} must be finite"):
+            packing_condition_check(2, s, 10, seed=0, params=params7)
 
 
 class TestIntegralGrowth:
