@@ -107,7 +107,7 @@ def _descend(
     dist = np.zeros(n, dtype=np.float64)
     idx = np.zeros(n, dtype=np.int64)
     seam = np.zeros(n, dtype=bool)
-    scales = [1.0]
+    scales, inv = [1.0], 1.0 / ratio
     for start in range(0, n, _BLOCK):
         at = np.arange(start, min(start + _BLOCK, n))
         xf, af = x[start : start + _BLOCK], np.zeros(at.size, dtype=np.complex128)
@@ -131,7 +131,8 @@ def _descend(
                 if at.size == 0:
                     break
             af += scales[lv] * centers.take(i)
-            xf = diff / ratio
+            diff *= inv
+            xf = diff
         else:
             x[at], a[at] = xf, af
     return level, x, dist, idx, a, np.asarray(scales)[level], seam

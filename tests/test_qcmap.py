@@ -182,6 +182,17 @@ def _cylinders(params, ratio, n, rng):
     return a + s * _disk(rng, n)
 
 
+#: SHA-256 of the three batch outputs on the points of
+#: ``test_signed_zero_frames_pinned``.  Captured with NumPy 2.4.6 on x86-64: a
+#: digest that breaks after a NumPy or CPU change, with the descent
+#: unchanged, is recaptured, not mended.
+SIGNED_ZERO_DIGESTS = {
+    7: "5570aaac8ecaefe94aba4bedc85d613440cc6c1ca797cba7607d7c8073da08c0",
+    100: "5270771c316fcad731d0c702932228491a6a9f40adffcbe966b27deadb6d3e12",
+    217: "323ab9330ea42781e0b14a2f147f337af34f30cd8a04f17edf74b6bdece65e69",
+}
+
+
 class TestBatchKernels:
     """Each point gets the same bits in any batch, which the kernels walk in
     blocks of 65,536 points."""
@@ -211,6 +222,28 @@ class TestBatchKernels:
                 for head, tail, w in parts:
                     joined = np.concatenate([head, tail])
                     assert np.array_equal(joined.view(np.uint8), w.view(np.uint8)), (entry, cut)
+
+    @pytest.mark.parametrize("t, m", [(1.0, 7), (1.0, 100), (1.9, 217)])
+    def test_signed_zero_frames_pinned(self, t, m):
+        # points whose frames hold signed zeros: both zeros on and off the
+        # axes, generation-1 and -2 centres of both sides with either zero as
+        # imaginary part, and centres a few ulp off along an axis
+        p = derive_params(t, 2.0, build_packing(m))
+        parts = np.array([0.0, -0.0, 0.3, -0.3, 0.5, -1.0, 1.0, 1.25])
+        re, im = np.repeat(parts, parts.size), np.tile(parts, parts.size)
+        centres = [chain(J, p, side)[0] for side in ("source", "image")
+                   for J in [(j,) for j in range(min(m, 12))] + [(1, 0), (m - 1, 2), (0, 0)]]
+        for c in centres:
+            for dx, dy in ((0.0, 0.0), (0.0, -0.0), (1e-15, 0.0), (-0.0, 1e-15)):
+                re, im = np.append(re, c.real + dx), np.append(im, c.imag + dy)
+        z = np.empty(re.size, dtype=np.complex128)
+        z.real, z.imag = re, im
+        h = hashlib.sha256()
+        for entry in BATCH_ENTRIES:
+            out = entry(z, p, 32)
+            for a in out if isinstance(out, tuple) else (out,):
+                h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == SIGNED_ZERO_DIGESTS[m]
 
     def test_blocking_bounds_memory(self, params100):
         # the per-point outputs take about 23 MB; temporaries of the whole
