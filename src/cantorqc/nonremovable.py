@@ -33,9 +33,29 @@ cluster beyond the distance of a first, greedy atom.  Both widen cluster
 disks far beyond rounding and compare atoms as a KD-tree would, by
 ``dx*dx + dy*dy``.  Leaves hold at most :data:`LEAF` atoms; a measure without
 an IFS, or of at most :data:`LEAF` atoms, is one leaf.  Atoms are still
-enumerated.  The transform adds each point's terms one at a time in the
-order of the tree's clusters, so like the atom queries it is batch-invariant:
-a point gets the same bits whatever other points share the call.
+enumerated.
+
+The transform's far field is a dual tree (Dehnen 2002), in :mod:`farfield`,
+which is imported on the first transform over a tree.  A quadtree of
+target cells covers the box ``|Re z|, |Im z| <= R_N/THETA`` about the root
+disk; beyond it a point takes the root's own series.  A walk over (cell,
+cluster) pairs translates each cluster well separated from a cell into a
+local Taylor series at the cell's centre (M2L: the moments scaled by
+``u**-n`` and the Pascal matrix ``C(n+l, l)``, one real matrix product),
+opens the others, and shifts each cell's series to its four children
+(L2L).  A point evaluates its leaf cell's polynomial (L2P), then walks
+only the leaf clusters near that cell: a Laurent series for each one far
+from the point, the atoms of the others.  The translations obey the same
+``2**-53`` bound, with ``ratio`` the cluster's radius plus the cell's
+half-diagonal over their distance.  The cells and their series depend on
+the IFS alone, and they are built for the whole box on the first call on a
+measure (about 50 ms at criterion 11): a matrix product's rounding of one
+column varies with the number of columns, so series built per batch would
+not be batch-invariant.  A batch of one then costs about 0.5 ms.  The
+transform adds each point's terms one at a time, its cell's series first
+and then its near clusters in cluster order, so like the atom queries it is
+batch-invariant: a point gets the same bits whatever other points share the
+call.
 """
 
 from __future__ import annotations
@@ -203,6 +223,22 @@ class ImageIFS:
             out.append(mu)
         return tuple(out)
 
+    @cached_property
+    def _pascal(self) -> np.ndarray:
+        """``C(n+l, l)`` for ``n, l <= P``: the moment-to-local translation."""
+        n = np.arange(P + 1)
+        return np.array([[math.comb(i + l, l) for l in n] for i in n], dtype=float)
+
+    @cached_property
+    def _targets(self):
+        """The transform's target cells (:class:`farfield.Targets`); they
+        depend on the IFS alone."""
+        # imported here, so that an interpreter that sums no transform over a
+        # tree does not compile it
+        from .farfield import Targets
+
+        return Targets(self)
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
@@ -246,7 +282,7 @@ class DiscreteMeasure:
         return self.positions.size
 
     def _walk(self, zs: np.ndarray, finish, leaf, tag: int = 1, levels: int | None = None,
-              grid: _CellGrid | None = None) -> None:
+              grid: _CellGrid | None = None, cells: np.ndarray | None = None) -> None:
         """Walk the IFS tree for the points of the flat ``zs``, in chunks whose
         first opening holds at most :data:`_PAIRS` pairs.
 
@@ -259,21 +295,33 @@ class DiscreteMeasure:
         their tag.  ``leaf(pt, atoms, tags)`` takes the pairs left at the
         leaves in blocks of at most :data:`_PAIRS` atoms, ``atoms[i]`` a copy
         of the leaf of ``pt[i]``.  A measure of one leaf has no levels.
+
+        With ``cells``, each point's leaf cell of :attr:`ImageIFS._targets`
+        or -1, the walk visits only the near field: a point starts from the
+        leaf clusters near its cell, at the leaf depth, and a point of no
+        cell is not walked.
         """
         ifs = self._tree
+        first = 0
         if ifs is None:
             depth, leaves, width = -1, self.positions[None, :], self.count
         else:
             levels = _leaf_levels(ifs.m) if levels is None else levels
             depth, leaves = ifs.generation - levels, self.positions.reshape(-1, ifs.m**levels)
             width = ifs.m if grid is None else grid.table.shape[1]
+            if cells is not None:
+                first, width = depth, ifs._targets.width
         step, rows = max(1, _PAIRS // width), max(1, _PAIRS // leaves.shape[1])
         for start in range(0, zs.size, step):
             pt = np.arange(start, min(start + step, zs.size))
-            node = np.zeros(pt.size, dtype=np.intp)
-            centre = np.zeros(pt.size, dtype=np.complex128)
+            if cells is None:
+                node = np.zeros(pt.size, dtype=np.intp)
+                centre = np.zeros(pt.size, dtype=np.complex128)
+            else:
+                pt = pt[cells[pt] >= 0]
+                pt, node, centre = ifs._targets.pairs(pt, cells[pt])
             tags = np.full(pt.size, tag)
-            for d in range(depth + 1):
+            for d in range(first, depth + 1):
                 tags = finish(d, pt, node, centre, tags)
                 keep = tags.astype(bool, copy=False)
                 pt, node, centre, tags = pt[keep], node[keep], centre[keep], tags[keep]
@@ -496,7 +544,17 @@ def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
         np.divide(weight, terms, out=terms)
         np.add.at(acc, pt, terms.sum(axis=1))
 
-    measure._walk(flat, finish, leaf)
+    if ifs is None:
+        measure._walk(flat, finish, leaf)
+    else:
+        # beyond radius/THETA the root's own series; nearer, in the target
+        # box, the local series of the point's cell, then its near field
+        inner = np.flatnonzero(finish(0, np.arange(flat.size), np.zeros(flat.size, dtype=np.intp),
+                                      np.zeros(flat.size, dtype=np.complex128), None))
+        targets, cells = ifs._targets, np.full(flat.size, -1, dtype=np.intp)
+        cells[inner] = targets.locate(flat[inner])
+        acc[inner] = targets.evaluate(flat[inner], cells[inner]) * weight
+        measure._walk(flat, finish, leaf, cells=cells)
     acc /= math.pi
     return acc.reshape(zs.shape)
 

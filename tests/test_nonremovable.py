@@ -360,6 +360,18 @@ class TestCauchyTransform:
         mu = frostman_measure(params7, 5)
         _assert_tree_matches_direct(mu, _seeded_points(mu, 12, 200, 100, 20))
 
+    def test_tree_matches_direct_sum_between_sibling_leaves(self, tree_measures):
+        # points that reach two or more leaves, and the corners and edge
+        # midpoints of seeded target cells, where two cells' local series meet
+        mu = tree_measures["m7-N5"]
+        cells = mu.ifs._targets
+        rng = np.random.default_rng(48)
+        leaf = rng.choice(cells.size.size, 300, replace=False)
+        offsets = np.array([1, 1j, -1, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+        edges = (cells.centre[leaf, None] + cells.size[leaf, None] * offsets).ravel()
+        zs = np.concatenate([_between_sibling_leaves(mu, 49, 600), edges])
+        _assert_tree_matches_direct(mu, zs)
+
     @pytest.mark.parametrize("name", ["criterion-11", "m7-N5"])
     def test_split_changes_no_bit(self, tree_measures, name):
         # each point's terms are added in node order whatever shares its
