@@ -255,7 +255,7 @@ class TestAtomQueries:
 #: 2.4.6 on x86-64: a digest that breaks after a NumPy or CPU change, with the
 #: queries unchanged, is recaptured, not mended.
 QUERY_DIGESTS = {
-    "cauchy_transform_batch": "95380613155d8df5e6e7f1c784eef1a918b205a08698488d60eb4da5498348a4",
+    "cauchy_transform_batch": "96f2771bd62a52ec550caac31f74497fd7421739458ef8d3aa75c8efd455826b",
     "growth_ratio": "00055c3afc56d8aa9b0b91b42d68158f2566fd0ffff293b22df07e3ff189af48",
     "nearest_atom_distance": "5c7868b50d828f16c48415ff5c71c76e46ba910714e519bb0365309c30536257",
 }
