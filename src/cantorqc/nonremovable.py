@@ -49,9 +49,10 @@ from the point, the atoms of the others.  The translations obey the same
 ``2**-53`` bound, with ``ratio`` the cluster's radius plus the cell's
 half-diagonal over their distance.  The cells and their series depend on
 the IFS alone, and they are built for the whole box on the first call on a
-measure (about 50 ms at criterion 11): a matrix product's rounding of one
-column varies with the number of columns, so series built per batch would
-not be batch-invariant.  A batch of one then costs about 0.5 ms.  The
+measure (40-55 ms at criterion 11 on a 2-core VM): a matrix product's
+rounding of one column varies with the number of columns, so series built
+per batch would not be batch-invariant.  A batch of one then costs 0.3-0.6
+ms there, against 0.25-0.4 ms for the per-point series before.  The
 transform adds each point's terms one at a time, its cell's series first
 and then its near clusters in cluster order, so like the atom queries it is
 batch-invariant: a point gets the same bits whatever other points share the
