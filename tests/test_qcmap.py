@@ -226,17 +226,20 @@ class TestBatchKernels:
     @pytest.mark.parametrize("t, m", [(1.0, 7), (1.0, 100), (1.9, 217)])
     def test_signed_zero_frames_pinned(self, t, m):
         # points whose frames hold signed zeros: both zeros on and off the
-        # axes, generation-1 and -2 centres of both sides with either zero as
-        # imaginary part, and centres a few ulp off along an axis
+        # axes, and generation-1 and -2 centres of both sides, each also with
+        # the signs of its zero parts flipped and a few ulp off along each axis
         p = derive_params(t, 2.0, build_packing(m))
         parts = np.array([0.0, -0.0, 0.3, -0.3, 0.5, -1.0, 1.0, 1.25])
-        re, im = np.repeat(parts, parts.size), np.tile(parts, parts.size)
+        re, im = list(np.repeat(parts, parts.size)), list(np.tile(parts, parts.size))
         centres = [chain(J, p, side)[0] for side in ("source", "image")
                    for J in [(j,) for j in range(min(m, 12))] + [(1, 0), (m - 1, 2), (0, 0)]]
+        flip = lambda v: -v if v == 0.0 else v  # noqa: E731  the other zero; others kept
         for c in centres:
-            for dx, dy in ((0.0, 0.0), (0.0, -0.0), (1e-15, 0.0), (-0.0, 1e-15)):
-                re, im = np.append(re, c.real + dx), np.append(im, c.imag + dy)
-        z = np.empty(re.size, dtype=np.complex128)
+            for x, y in ((c.real, c.imag), (flip(c.real), flip(c.imag)),
+                         (c.real + 1e-15, c.imag), (c.real, c.imag + 1e-15)):
+                re.append(x)
+                im.append(y)
+        z = np.empty(len(re), dtype=np.complex128)
         z.real, z.imag = re, im
         h = hashlib.sha256()
         for entry in BATCH_ENTRIES:
