@@ -35,7 +35,7 @@ disks far beyond rounding and compare atoms as a KD-tree would, by
 an IFS, or of at most :data:`LEAF` atoms, is one leaf.  Atoms are still
 enumerated.
 
-The transform's far field is a dual tree (Dehnen 2002), in :mod:`farfield`,
+The transform's far field is a dual tree (Dehnen 2002), in :mod:`_farfield`,
 which is imported on the first transform over a tree.  A quadtree of
 target cells covers the box ``|Re z|, |Im z| <= R_N/THETA`` about the root
 disk; beyond it a point takes the root's own series.  A walk over (cell,
@@ -232,11 +232,11 @@ class ImageIFS:
 
     @cached_property
     def _targets(self):
-        """The transform's target cells (:class:`farfield.Targets`); they
+        """The transform's target cells (:class:`_farfield.Targets`); they
         depend on the IFS alone."""
         # imported here, so that an interpreter that sums no transform over a
         # tree does not compile it
-        from .farfield import Targets
+        from ._farfield import Targets
 
         return Targets(self)
 

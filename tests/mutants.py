@@ -77,7 +77,7 @@ MUTANTS = [
      "np.add.at(acc, pt, terms.sum(axis=1))",
      "acc[pt[0] : pt[-1] + 1] += np.bincount(pt - pt[0], terms.sum(axis=1).real)"
      " + 1j * np.bincount(pt - pt[0], terms.sum(axis=1).imag)"),
-    ("M2L translation without the (-1)**l sign", "farfield.py",
+    ("M2L translation without the (-1)**l sign", "_farfield.py",
      "y *= _powers(-tau[j] * v, order)",
      "y *= _powers(tau[j] * v, order)"),
     ("descent keeps the entry frame of leaving points", "qcmap.py",
