@@ -65,8 +65,10 @@ class Targets:
         is replaced by its children, and what is left passes to the four
         children of the cell, each of which receives its parent's local
         series shifted to its centre (L2L).  A cell left with no pair, or at
-        the finest level, is a leaf; at the finest level the pairs left are
-        leaf clusters, and they are the cell's near field.
+        the finest level, is a leaf.  At the finest level every cluster not
+        translated is opened down to the leaf clusters, however narrow: the
+        cap :data:`_CELL_LEVELS` can leave those cells wider than clusters
+        above the leaves.  The leaf clusters left are the cell's near field.
         """
         N, m = ifs.generation, ifs.m
         depth = N - _leaf_levels(m)
@@ -93,7 +95,8 @@ class Targets:
                 f = np.flatnonzero(far)
                 _translate(ifs, local, cell[f], d[f], u[f], reach[f] / dist[f],
                            h / scales[d[f]], scales[d[f]])
-                wide = ~far & (d < depth) & (scales[d] * radii[d] > rho)
+                # at the finest level every cluster left is opened down to the leaves
+                wide = ~far & (d < depth) & ((scales[d] * radii[d] > rho) | (level == top))
                 stay, go = np.flatnonzero(~far & ~wide), np.flatnonzero(wide)
                 cell, d, node, at = (
                     np.concatenate([cell[stay], np.repeat(cell[go], m)]),

@@ -80,6 +80,9 @@ MUTANTS = [
     ("M2L translation without the (-1)**l sign", "_farfield.py",
      "y *= _powers(-tau[j] * v, order)",
      "y *= _powers(tau[j] * v, order)"),
+    ("finest target cells keep clusters narrower than the cell", "_farfield.py",
+     "((scales[d] * radii[d] > rho) | (level == top))",
+     "(scales[d] * radii[d] > rho)"),
     ("descent keeps the entry frame of leaving points", "qcmap.py",
      "x[done], a[done] = xf[final], af[final]",
      "a[done] = af[final]"),

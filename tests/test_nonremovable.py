@@ -35,6 +35,7 @@ from cantorqc.nonremovable import (
     dbar_max,
     residue_error,
 )
+from cantorqc._farfield import _CELL_LEVELS
 from oracle_composition import chain
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -45,15 +46,16 @@ def _transform_at(measure, z):
     return complex(cauchy_transform_batch(measure, np.array([z]))[0][0])
 
 
-def _assert_tree_matches_direct(mu, zs):
-    """Tree descent against the direct sum, within 256u of sum |w/(z-p)|/pi."""
+def _assert_tree_matches_direct(mu, zs, rows=50):
+    """Tree descent against the direct sum, within 256u of sum |w/(z-p)|/pi
+    (summed over ``rows`` points at a time)."""
     assert mu.ifs is not None and mu.count > LEAF
     tree, _ = cauchy_transform_batch(mu, zs)
     direct, _ = cauchy_transform_batch(replace(mu, ifs=None), zs)
-    for i in range(0, zs.size, 50):
-        block = zs[i : i + 50]
+    for i in range(0, zs.size, rows):
+        block = zs[i : i + rows]
         absolute = (mu.weight / np.abs(block[:, None] - mu.positions[None, :])).sum(axis=1)
-        err = np.abs(tree[i : i + 50] - direct[i : i + 50])
+        err = np.abs(tree[i : i + rows] - direct[i : i + rows])
         assert (err <= 256 * UNIT_ROUNDOFF * absolute / math.pi).all()
 
 
@@ -371,6 +373,24 @@ class TestCauchyTransform:
         edges = (cells.centre[leaf, None] + cells.size[leaf, None] * offsets).ravel()
         zs = np.concatenate([_between_sibling_leaves(mu, 49, 600), edges])
         _assert_tree_matches_direct(mu, zs)
+
+    def test_tree_matches_direct_sum_below_the_finest_cells(self, params13):
+        # 13**5 atoms in leaves of 13**2: the seven levels of target cells
+        # stop at cells wider than the clusters one level above the leaves,
+        # so the finest cells must open those clusters into leaf clusters
+        mu = frostman_measure(params13, 5)
+        ifs, cells = mu.ifs, mu.ifs._targets
+        depth = ifs.generation - _leaf_levels(ifs.m)
+        assert cells.top == _CELL_LEVELS
+        assert cells.size.min() * math.sqrt(2.0) > ifs.ratio ** (depth - 1) * ifs.radius(ifs.generation - depth + 1)
+        # every near entry is a leaf cluster, centred where its number puts it
+        leaf_centres = generation_centers(depth, "image", params13)
+        assert np.allclose(cells.at, leaf_centres[cells.node], rtol=0.0, atol=1e-12)
+        rng = np.random.default_rng(50)
+        finest = np.flatnonzero(cells.size == cells.size.min())
+        corners = cells.centre[rng.choice(finest, 20)] + cells.size.min() * (1 + 1j)
+        zs = np.concatenate([_seeded_points(mu, 51, 30, 30, 0), corners])
+        _assert_tree_matches_direct(mu, zs, rows=5)
 
     @pytest.mark.parametrize("name", ["criterion-11", "m7-N5"])
     def test_split_changes_no_bit(self, tree_measures, name):
