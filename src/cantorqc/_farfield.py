@@ -4,9 +4,9 @@ target cells, built by a dual walk (Dehnen 2002) over (cell, cluster) pairs.
 :mod:`nonremovable` imports this module on the first transform over an IFS
 tree (``ImageIFS._targets``), and uses three methods of :class:`Targets`:
 ``locate`` (each point's leaf cell), ``evaluate`` (its cell's series at the
-point, L2P) and ``pairs`` (the leaf clusters near its cell, which the
-per-point walk sums).  The module docstring of :mod:`nonremovable` states
-the accuracy and batch-invariance rules.
+point, L2P) and ``pairs`` (the leaf clusters near its cell, which
+``_cauchy_values`` sums, ``width`` of them at most).  The module docstring
+of :mod:`nonremovable` states the accuracy and batch-invariance rules.
 """
 
 from __future__ import annotations
@@ -39,6 +39,27 @@ def _band(ratio: np.ndarray) -> np.ndarray:
     """The band of each ``ratio <= THETA``: ``b`` where it lies in
     ``(THETA/2**(b+1), THETA/2**b]``, the last band all smaller ones."""
     return (ratio[None, :] <= _BAND_RATIOS[1:, None]).sum(axis=0)
+
+
+def _shift_matrices() -> np.ndarray:
+    """L2L as one real matrix acting on real parts stacked over imaginary
+    ones: for each child cell in turn, coefficients in ``s`` to coefficients
+    in ``t`` for ``s = d + t/2``, with ``d = (+-1 +- 1j)/2`` the child's offset."""
+    n = np.arange(P + 1)
+    binom = np.array([[math.comb(l, k) for l in n] for k in n], dtype=float)
+    gap = n[None, :] - n[:, None]
+    out = []
+    for q in range(4):
+        d = ((q & 1) - 0.5) + 1j * ((q >> 1) - 0.5)
+        t = np.where(gap >= 0, binom * d ** np.maximum(gap, 0), 0.0) * 0.5 ** n[:, None]
+        out.append(np.block([[t.real, -t.imag], [t.imag, t.real]]))
+    return np.concatenate(out)
+
+
+#: ``C(n+l, l)`` for ``n, l <= P``: the moment-to-local translation (M2L).
+_PASCAL = np.array([[math.comb(n + l, l) for l in range(P + 1)] for n in range(P + 1)], dtype=float)
+#: The local-to-local shifts to the four children of a cell (L2L).
+_SHIFTS = _shift_matrices()
 
 
 class Targets:
@@ -78,7 +99,6 @@ class Targets:
         top = 0
         while top < _CELL_LEVELS and half * math.sqrt(2.0) / 2**top > scales[depth] * radii[depth]:
             top += 1
-        shifts = _shift_matrices()
         ix = iy = cell = d = node = np.zeros(1, dtype=np.intp)
         at = np.zeros(1, dtype=np.complex128)
         local = np.zeros((P + 1, 1), dtype=np.complex128)
@@ -115,7 +135,7 @@ class Targets:
             split, rank, q = np.flatnonzero(busy), np.cumsum(busy) - 1, np.arange(4)
             ix = (2 * ix[split, None] + (q & 1)).ravel()
             iy = (2 * iy[split, None] + (q >> 1)).ravel()
-            parts = shifts @ np.concatenate([local.real[:, split], local.imag[:, split]])
+            parts = _SHIFTS @ np.concatenate([local.real[:, split], local.imag[:, split]])
             parts = parts.reshape(4, 2, P + 1, -1)
             local = (parts[:, 0] + 1j * parts[:, 1]).transpose(1, 2, 0).reshape(P + 1, -1)
             cell = (4 * rank[cell, None] + q).ravel()
@@ -170,21 +190,6 @@ class Targets:
         return pt[which], self.node[k], self.at[k]
 
 
-def _shift_matrices() -> np.ndarray:
-    """L2L as one real matrix acting on real parts stacked over imaginary
-    ones: for each child cell in turn, coefficients in ``s`` to coefficients
-    in ``t`` for ``s = d + t/2``, with ``d = (+-1 +- 1j)/2`` the child's offset."""
-    n = np.arange(P + 1)
-    binom = np.array([[math.comb(l, k) for l in n] for k in n], dtype=float)
-    gap = n[None, :] - n[:, None]
-    out = []
-    for q in range(4):
-        d = ((q & 1) - 0.5) + 1j * ((q >> 1) - 0.5)
-        t = np.where(gap >= 0, binom * d ** np.maximum(gap, 0), 0.0) * 0.5 ** n[:, None]
-        out.append(np.block([[t.real, -t.imag], [t.imag, t.real]]))
-    return np.concatenate(out)
-
-
 def _translate(ifs: ImageIFS, local, cell, d, u, ratio, tau, scale) -> None:
     """M2L: add to ``local[:, cell]`` the series of each depth-``d`` cluster,
     of frame ``scale``, about a cell centre at ``u`` in the cluster's frame,
@@ -207,7 +212,7 @@ def _translate(ifs: ImageIFS, local, cell, d, u, ratio, tau, scale) -> None:
             v = 1.0 / u[j]
             x = _powers(v, order)
             x *= moments[ifs.generation - d[j], : order + 1].T
-            y = (ifs._pascal[: order + 1, : order + 1] @ x.view(float)).view(np.complex128)
+            y = (_PASCAL[: order + 1, : order + 1] @ x.view(float)).view(np.complex128)
             y *= _powers(-tau[j] * v, order)
             y *= v / scale[j]
             c, first = np.unique(cell[j], return_index=True)

@@ -225,12 +225,6 @@ class ImageIFS:
         return tuple(out)
 
     @cached_property
-    def _pascal(self) -> np.ndarray:
-        """``C(n+l, l)`` for ``n, l <= P``: the moment-to-local translation."""
-        n = np.arange(P + 1)
-        return np.array([[math.comb(i + l, l) for l in n] for i in n], dtype=float)
-
-    @cached_property
     def _targets(self):
         """The transform's target cells (:class:`_farfield.Targets`); they
         depend on the IFS alone."""
@@ -283,7 +277,7 @@ class DiscreteMeasure:
         return self.positions.size
 
     def _walk(self, zs: np.ndarray, finish, leaf, tag: int = 1, levels: int | None = None,
-              grid: _CellGrid | None = None, cells: np.ndarray | None = None) -> None:
+              grid: _CellGrid | None = None) -> None:
         """Walk the IFS tree for the points of the flat ``zs``, in chunks whose
         first opening holds at most :data:`_PAIRS` pairs.
 
@@ -296,33 +290,21 @@ class DiscreteMeasure:
         their tag.  ``leaf(pt, atoms, tags)`` takes the pairs left at the
         leaves in blocks of at most :data:`_PAIRS` atoms, ``atoms[i]`` a copy
         of the leaf of ``pt[i]``.  A measure of one leaf has no levels.
-
-        With ``cells``, each point's leaf cell of :attr:`ImageIFS._targets`
-        or -1, the walk visits only the near field: a point starts from the
-        leaf clusters near its cell, at the leaf depth, and a point of no
-        cell is not walked.
         """
         ifs = self._tree
-        first = 0
         if ifs is None:
             depth, leaves, width = -1, self.positions[None, :], self.count
         else:
             levels = _leaf_levels(ifs.m) if levels is None else levels
             depth, leaves = ifs.generation - levels, self.positions.reshape(-1, ifs.m**levels)
             width = ifs.m if grid is None else grid.table.shape[1]
-            if cells is not None:
-                first, width = depth, ifs._targets.width
         step, rows = max(1, _PAIRS // width), max(1, _PAIRS // leaves.shape[1])
         for start in range(0, zs.size, step):
             pt = np.arange(start, min(start + step, zs.size))
-            if cells is None:
-                node = np.zeros(pt.size, dtype=np.intp)
-                centre = np.zeros(pt.size, dtype=np.complex128)
-            else:
-                pt = pt[cells[pt] >= 0]
-                pt, node, centre = ifs._targets.pairs(pt, cells[pt])
+            node = np.zeros(pt.size, dtype=np.intp)
+            centre = np.zeros(pt.size, dtype=np.complex128)
             tags = np.full(pt.size, tag)
-            for d in range(first, depth + 1):
+            for d in range(depth + 1):
                 tags = finish(d, pt, node, centre, tags)
                 keep = tags.astype(bool, copy=False)
                 pt, node, centre, tags = pt[keep], node[keep], centre[keep], tags[keep]
@@ -549,13 +531,21 @@ def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
         measure._walk(flat, finish, leaf)
     else:
         # beyond radius/THETA the root's own series; nearer, in the target
-        # box, the local series of the point's cell, then its near field
+        # box, the local series of the point's cell, then the leaf clusters
+        # near that cell, in chunks of at most _PAIRS pairs
         inner = np.flatnonzero(finish(0, np.arange(flat.size), np.zeros(flat.size, dtype=np.intp),
                                       np.zeros(flat.size, dtype=np.complex128), None))
-        targets, cells = ifs._targets, np.full(flat.size, -1, dtype=np.intp)
-        cells[inner] = targets.locate(flat[inner])
-        acc[inner] = targets.evaluate(flat[inner], cells[inner]) * weight
-        measure._walk(flat, finish, leaf, cells=cells)
+        targets, levels = ifs._targets, _leaf_levels(ifs.m)
+        cells = targets.locate(flat[inner])
+        acc[inner] = targets.evaluate(flat[inner], cells) * weight
+        leaves = measure.positions.reshape(-1, ifs.m**levels)
+        step, rows = max(1, _PAIRS // targets.width), max(1, _PAIRS // leaves.shape[1])
+        for start in range(0, inner.size, step):
+            pt, node, centre = targets.pairs(inner[start : start + step], cells[start : start + step])
+            near = finish(ifs.generation - levels, pt, node, centre, None)
+            pt, node = pt[near], node[near]
+            for i in range(0, pt.size, rows):
+                leaf(pt[i : i + rows], leaves[node[i : i + rows]], None)
     acc /= math.pi
     return acc.reshape(zs.shape)
 
