@@ -382,7 +382,8 @@ class TestCauchyTransform:
         ifs, cells = mu.ifs, mu.ifs._targets
         depth = ifs.generation - _leaf_levels(ifs.m)
         assert cells.top == _CELL_LEVELS
-        assert cells.size.min() * math.sqrt(2.0) > ifs.ratio ** (depth - 1) * ifs.radius(ifs.generation - depth + 1)
+        above = ifs.ratio ** (depth - 1) * ifs.radius(ifs.generation - depth + 1)
+        assert cells.size.min() * math.sqrt(2.0) > above
         # every near entry is a leaf cluster, centred where its number puts it
         leaf_centres = generation_centers(depth, "image", params13)
         assert np.allclose(cells.at, leaf_centres[cells.node], rtol=0.0, atol=1e-12)
