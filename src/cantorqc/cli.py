@@ -91,6 +91,12 @@ def _emit(obj, out_path: str | None) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _csv_rows(fmt: str, *columns):
+    """``fmt.format`` over the rows of ``columns``, each read by ``.tolist()``:
+    ``{!r}`` writes a float as ``repr`` does, ``{}`` an int."""
+    return map(fmt.format, *(np.asarray(c).tolist() for c in columns))
+
+
 def _write_table(header: str, lines, out_path: str | None) -> None:
     """Write a CSV table; the header waits for the first line, or stands alone."""
     lines = iter(lines)
@@ -146,8 +152,7 @@ def cmd_params(args: argparse.Namespace, params: ConstructionParams) -> None:
 def cmd_disks(args: argparse.Namespace, params: ConstructionParams) -> None:
     centers = generation_centers(args.N, args.side, params)
     if args.format == "csv":
-        rows = (f"{float(z.real)!r},{float(z.imag)!r}\n" for z in centers)
-        _write_table("re,im\n", rows, args.out)
+        _write_table("re,im\n", _csv_rows("{!r},{!r}\n", centers.real, centers.imag), args.out)
     else:
         _emit(
             {
@@ -187,15 +192,7 @@ def _iter_point_chunks(path: str):
 
 
 _MAP_HEADER = "re,im,phi_re,phi_im,depth,err_bound\n"
-
-
-def _map_rows(pts, values, depths, errs):
-    """Lines of the six-column map table."""
-    return (
-        f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},"
-        f"{float(v.imag)!r},{int(d)},{float(e)!r}\n"
-        for z, v, d, e in zip(pts, values, depths, errs)
-    )
+_MAP_ROW = "{!r},{!r},{!r},{!r},{},{!r}\n"
 
 
 @_with_params
@@ -204,9 +201,10 @@ def cmd_eval(args: argparse.Namespace, params: ConstructionParams) -> None:
     def rows(pts):
         if args.mode == "jacobian":
             jac = qcmap.jacobian_batch(pts, params, depth_max=args.depth)
-            return (f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r}\n" for z, v in zip(pts, jac))
+            return _csv_rows("{!r},{!r},{!r}\n", pts.real, pts.imag, jac)
         evaluate = qcmap.phi_batch if args.mode == "phi" else qcmap.phi_inverse_batch
-        return _map_rows(pts, *evaluate(pts, params, depth_max=args.depth))
+        values, depths, errs = evaluate(pts, params, depth_max=args.depth)
+        return _csv_rows(_MAP_ROW, pts.real, pts.imag, values.real, values.imag, depths, errs)
 
     header = "re,im,jacobian\n" if args.mode == "jacobian" else _MAP_HEADER
     lines = chain.from_iterable(map(rows, _iter_point_chunks(args.points)))
@@ -230,8 +228,7 @@ def cmd_dimension(args: argparse.Namespace, params: ConstructionParams) -> None:
     est = verify.box_dimension(args.side, params, args.N, seed=args.seed)
     reference = params.t if args.side == "source" else params.dim_image
     if args.format == "csv":
-        rows = (f"{float(s)!r},{int(c)}\n" for s, c in zip(est.scales, est.counts))
-        _write_table("scale,count\n", rows, args.out)
+        _write_table("scale,count\n", _csv_rows("{!r},{}\n", est.scales, est.counts), args.out)
     else:
         payload = asdict(est)
         payload.update({"side": args.side, "N": args.N, "reference": reference})
@@ -245,8 +242,7 @@ def cmd_holder(args: argparse.Namespace, params: ConstructionParams) -> None:
     map_fn = qcmap.phi_map_fn(params, depth_max=args.depth)
     if args.format == "csv":
         sep, ratio = verify.holder_pair_table(map_fn, target, config, seed=args.seed)
-        rows = (f"{float(s)!r},{float(q)!r}\n" for s, q in zip(sep, ratio))
-        _write_table("separation,ratio\n", rows, args.out)
+        _write_table("separation,ratio\n", _csv_rows("{!r},{!r}\n", sep, ratio), args.out)
         return
     report = verify.holder_estimate(map_fn, target, config, seed=args.seed)
     payload = asdict(report)
@@ -335,7 +331,7 @@ def cmd_glue(args: argparse.Namespace) -> None:
             values.append(res.value)
             depths.append(res.depth)
             errs.append(res.err_bound)
-        return _map_rows(pts, values, depths, errs)
+        return _csv_rows(_MAP_ROW, pts.real, pts.imag, np.real(values), np.imag(values), depths, errs)
 
     lines = chain.from_iterable(map(rows, _iter_point_chunks(args.points)))
     _write_table(_MAP_HEADER, lines, args.out)

@@ -126,31 +126,33 @@ class DiskPacking:
             np.abs(p - self.centers.take(i), out=dist[start : start + _PAIRS])
         return idx.reshape(pts.shape), dist.reshape(pts.shape)
 
-    def _nearest_one(self, z: complex) -> tuple[int, float]:
-        """Scalar :meth:`nearest_center` in plain Python: same index and distance."""
+    def _nearest_one(self, z: complex) -> int:
+        """Scalar :meth:`nearest_center` in plain Python: the same index, and no
+        distance, as :meth:`_CellGrid.nearest`.  NumPy's absolute value costs
+        ten times Python's ``abs`` on a scalar, so here it only ranks near ties."""
         grid = self._grid
         fx, fy = (z.real - grid.x0) / grid.h, (z.imag - grid.y0) / grid.h
         if not (0.0 <= fx < grid.nx and 0.0 <= fy < grid.ny):
-            idx, dist = self.nearest_center(np.array([z]))
-            return int(idx[0]), float(dist[0])
+            return int(grid.nearest(np.array([z], dtype=np.complex128))[0])
         cell = int(fx) * grid.ny + int(fy)
-        points, j = grid.points, grid.owners.item(cell)
+        j = grid.owners.item(cell)
         if j >= 0:
-            return j, float(np.abs(np.complex128(z - points[j])))
-        best, near = math.inf, []
+            return j
+        points, best, near = grid.points, math.inf, []
         # padding reads the sentinel at infinity, which is never near
         for j in grid.table[cell].tolist():
             c = points[j]
             dx, dy = z.real - c.real, z.imag - c.imag
             d2 = dx * dx + dy * dy
             if d2 < best * (1.0 - _TIE_RTOL):
-                best, near = d2, [(j, c)]
+                best, near = d2, [j]
             elif d2 <= best * (1.0 + _TIE_RTOL):
-                near.append((j, c))
+                near.append(j)
+        if len(near) == 1:
+            return near[0]
         # near ties are decided by the complex absolute value, first index first
-        dists = [np.abs(np.complex128(z - c)) for _, c in near]
-        k = dists.index(min(dists))
-        return near[k][0], float(dists[k])
+        dists = [np.abs(np.complex128(z - points[j])) for j in near]
+        return near[dists.index(min(dists))]
 
     def validate(self) -> None:
         """Raise :class:`PackingError` unless disks are disjoint and inside the unit disk."""

@@ -489,10 +489,10 @@ def _laurent(u: np.ndarray, u2: np.ndarray, mu: np.ndarray, radius: float) -> np
     v = 1.0 / u
     out = np.empty_like(u)
     band = np.searchsorted((radius / _BAND_RATIOS[1:]) ** 2, u2, side="right")
-    for b, order in enumerate(_BAND_ORDERS):
+    # only the bands that hold an entry: a small batch fills one or two
+    for b in np.flatnonzero(np.bincount(band, minlength=len(_BAND_ORDERS))).tolist():
+        order = _BAND_ORDERS[b]
         idx = np.flatnonzero(band == b)
-        if idx.size == 0:
-            continue
         vb = v[idx]
         acc = np.full(idx.size, mu[order])
         for n in range(order - 1, -1, -1):

@@ -145,6 +145,14 @@ def _descend_one(
 
     A batch of one is several times slower per call, and NumPy's ``pow`` and
     complex multiply round differently from Python's, so both twins stay.
+
+    Each level's distance is Python's ``abs``, within 2 ulp of the batch's
+    ``np.abs`` and ten times cheaper on a scalar.  Where that gap could turn
+    a branch or a seam flag, at ``d >= ratio - 2*tol_in`` (the exit level,
+    the inner seam band and, as ``r > ratio``, the outer one), the level
+    takes NumPy's value instead.  The widening is 1e-12 relative, far more
+    than 2 ulp, so every branch, seam flag, index and returned distance has
+    the bits it would have with NumPy's value at every level.
     """
     ratio, affine, _ = _side_table(params, side)
     _check_depth(depth_max, affine)
@@ -153,14 +161,19 @@ def _descend_one(
         raise ParameterError(f"map points must be finite, got {x}")
     r = params.r
     tol_r, tol_in = SEAM_RTOL * r, SEAM_RTOL * ratio
+    exact_from = ratio - 2.0 * tol_in
+    nearest, points = params.packing._nearest_one, params.packing._grid.points
     a, b = 0j, 1 + 0j
     seam = False
     for level in range(depth_max):
-        i, d = params.packing._nearest_one(x)
+        i = nearest(x)
+        c = points[i]
+        d = abs(x - c)
+        if d >= exact_from:
+            d = float(np.abs(np.complex128(x - c)))
         seam = seam or abs(d - r) <= tol_r or abs(d - ratio) <= tol_in
         if d >= ratio:
             return level, x, d, i, a, b, seam
-        c = complex(params.packing.centers[i])
         a += b * c
         b *= affine
         x = (x - c) / ratio
@@ -169,11 +182,12 @@ def _descend_one(
 
 def _map_one(z: complex, params: ConstructionParams, side: str, depth_max: int) -> MapResult:
     level, x, d, i, a, b, _ = _descend_one(z, params, side, depth_max)
+    _, affine, exponent = _side_table(params, side)
     if level == depth_max:
-        return MapResult(a, depth_max, 2.0 * _side_table(params, side)[1] ** depth_max)
+        return MapResult(a, depth_max, 2.0 * affine**depth_max)
     if d < params.r:
-        c = complex(params.packing.centers[i])
-        x = c + (d / params.r) ** _side_table(params, side)[2] * (x - c)
+        c = params.packing._grid.points[i]
+        x = c + (d / params.r) ** exponent * (x - c)
     return MapResult(a + b * x, level, 0.0)
 
 

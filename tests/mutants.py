@@ -86,6 +86,9 @@ MUTANTS = [
     ("descent keeps the entry frame of leaving points", "qcmap.py",
      "x[done], a[done] = xf[final], af[final]",
      "a[done] = af[final]"),
+    ("scalar descent keeps Python's distance at the exit level", "qcmap.py",
+     "if d >= exact_from:",
+     "if exact_from <= d < ratio:"),
 ]
 
 #: Tier-1 without the tests that only compare pinned outputs, and without

@@ -7,9 +7,24 @@ import sys
 import tracemalloc
 
 import criterion12
+import numpy as np
 import pytest
 
-from cantorqc import cli
+from cantorqc import (
+    Disk,
+    GluedPiece,
+    build_packing,
+    cli,
+    derive_params,
+    generation_centers,
+    glued_map,
+    jacobian_batch,
+    make_glued_spec,
+    phi_batch,
+    phi_inverse_batch,
+)
+from cantorqc.qcmap import phi_map_fn
+from cantorqc.verify import HolderConfig, box_dimension, holder_pair_table
 
 BASE = [sys.executable, "-m", "cantorqc"]
 GLUE = ["glue", "--t", "1", "--K", "2", "--hosts=-0.45,0.0,0.1", "--piece-m", "7"]
@@ -426,3 +441,64 @@ def test_holder_exponent_beats_mori(tmp_path):
     assert payload["regression_exponent_adversarial"] >= 0.74
     assert payload["holder_exp"] == pytest.approx(0.75)
 
+
+
+def _f_string_map_rows(pts, values, depths, errs):
+    return "".join(
+        f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},"
+        f"{float(v.imag)!r},{int(d)},{float(e)!r}\n"
+        for z, v, d, e in zip(pts, values, depths, errs)
+    )
+
+
+def test_csv_tables_match_rows_written_one_f_string_at_a_time(tmp_path):
+    # the tables as the CLI wrote them row by row, from the library's outputs
+    p = derive_params(1.0, 2.0, build_packing(7))
+    rng = np.random.default_rng(41)
+    c = complex(p.packing.centers[1])
+    pts = np.concatenate([
+        rng.uniform(-1.2, 1.2, 60) + 1j * rng.uniform(-1.2, 1.2, 60),
+        [complex(-0.0, 1.5), complex(1.5, -0.0), complex(-0.0, -0.0)],
+        [c + p.r, c + p.sigma * p.r],  # on the seams: NaN Jacobians
+        p.packing.centers[:3],  # still descending at --depth 4: err_bound > 0
+    ])
+    points = tmp_path / "pts.csv"
+    points.write_text("".join(f"{z.real!r},{z.imag!r}\n" for z in pts.tolist()))
+    common = ["--t", "1", "--K", "2", "--m", "7"]
+    jac = jacobian_batch(pts, p, 4)
+    assert np.isnan(jac).sum() >= 2 and np.signbit(pts.real).sum() >= 2
+    values, depths, errs = phi_batch(pts, p, 4)
+    assert (errs > 0).sum() >= 3
+    spec = make_glued_spec([GluedPiece(Disk(-0.45 + 0j, 0.1), p)])
+    on_host = pts * 0.1 - 0.45
+    glued = [glued_map(z, spec, 4) for z in on_host.tolist()]
+    sep, ratio = holder_pair_table(phi_map_fn(p, 40), p.holder_exp, HolderConfig(params=p), seed=2)
+    dim = box_dimension("image", p, 3, seed=3)
+    centers = generation_centers(2, "image", p)
+    glue_pts = tmp_path / "glue.csv"
+    glue_pts.write_text("".join(f"{z.real!r},{z.imag!r}\n" for z in on_host.tolist()))
+    cases = [
+        (["eval", "--points", str(points), "--depth", "4", *common],
+         "re,im,phi_re,phi_im,depth,err_bound\n" + _f_string_map_rows(pts, values, depths, errs)),
+        (["eval", "--points", str(points), "--depth", "4", "--mode", "inverse", *common],
+         "re,im,phi_re,phi_im,depth,err_bound\n"
+         + _f_string_map_rows(pts, *phi_inverse_batch(pts, p, 4))),
+        (["eval", "--points", str(points), "--depth", "4", "--mode", "jacobian", *common],
+         "re,im,jacobian\n"
+         + "".join(f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r}\n" for z, v in zip(pts, jac))),
+        (["glue", "--t", "1", "--K", "2", "--hosts=-0.45,0.0,0.1", "--piece-m", "7",
+          "--points", str(glue_pts), "--depth", "4"],
+         "re,im,phi_re,phi_im,depth,err_bound\n" + _f_string_map_rows(
+             on_host, [g.value for g in glued], [g.depth for g in glued],
+             [g.err_bound for g in glued])),
+        (["holder", "--format", "csv", "--seed", "2", *common],
+         "separation,ratio\n" + "".join(f"{float(s)!r},{float(q)!r}\n" for s, q in zip(sep, ratio))),
+        (["dimension", "--format", "csv", "--side", "image", "--N", "3", "--seed", "3", *common],
+         "scale,count\n" + "".join(f"{float(s)!r},{int(n)}\n" for s, n in zip(dim.scales, dim.counts))),
+        (["disks", "--format", "csv", "--side", "image", "--N", "2", *common],
+         "re,im\n" + "".join(f"{float(z.real)!r},{float(z.imag)!r}\n" for z in centers)),
+    ]
+    out = tmp_path / "out.csv"
+    for argv, expected in cases:
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == expected, argv[0]

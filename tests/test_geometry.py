@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorqc import (
+    ConstructionParams,
     Disk,
     DiskPacking,
     EnumerationCapError,
@@ -17,7 +18,7 @@ from cantorqc import (
     generation_centers,
 )
 from cantorqc.geometry import _REFINE, _CellGrid, _rows
-from descent import descents
+from descent import assert_twins_agree, descents
 from oracle_composition import chain
 
 
@@ -89,16 +90,21 @@ def _dart_packing(count: int = 40, r: float = 0.05, seed: int = 5) -> DiskPackin
     return packing
 
 
+def _params(packing: DiskPacking) -> ConstructionParams:
+    """Parameters at t = 1, K = 2; sigma = 0.5 where the packing is too sparse for t = 1."""
+    try:
+        return derive_params(1.0, 2.0, packing)
+    except ParameterError:
+        return ConstructionParams(1.0, 2.0, packing, 0.5, math.nan, math.nan, math.nan)
+
+
 def _lookup_points(packing: DiskPacking, seed: int) -> np.ndarray:
     """Uniform points in [-3, 3]**2, points on the circles |z - c| = r and
     sigma*r about every center, and points on the bisector of each pair of
     neighbouring centers, where the nearest center is a near tie."""
     rng = np.random.default_rng(seed)
     c, r = packing.centers, packing.r
-    try:
-        sigma = derive_params(1.0, 2.0, packing).sigma
-    except ParameterError:
-        sigma = 0.5
+    sigma = _params(packing).sigma
     uniform = rng.uniform(-3.0, 3.0, 3000) + 1j * rng.uniform(-3.0, 3.0, 3000)
     turns = np.exp(2j * math.pi * rng.uniform(size=(c.size, 4)))
     seams = [(c[:, None] + rho * turns).ravel() for rho in (r, sigma * r)]
@@ -109,7 +115,8 @@ def _lookup_points(packing: DiskPacking, seed: int) -> np.ndarray:
 
 
 class TestNearestCenter:
-    """Batch and scalar lookups against brute force: same index, same bits."""
+    """Batch and scalar lookups against brute force: same index; the descent's
+    distances have the same bits."""
 
     @pytest.mark.parametrize(
         "m", [1, 2, 7, 13, 19, 37, 100, 217, 469, "darts", 3, 4, 5, 6, 8, 9]
@@ -121,8 +128,9 @@ class TestNearestCenter:
         ref_dist = np.abs(pts - packing.centers[ref])
         idx, dist = packing.nearest_center(pts)
         assert np.array_equal(idx, ref) and np.array_equal(dist, ref_dist)
-        for z, i, d in zip(pts.tolist(), ref.tolist(), ref_dist.tolist()):
-            assert packing._nearest_one(z) == (i, d)
+        assert [packing._nearest_one(z) for z in pts.tolist()] == ref.tolist()
+        for depth_max in (1, 32):
+            assert_twins_agree(pts, _params(packing), depth_max)
         grid_idx, grid_dist = packing.nearest_center(pts[:1200].reshape(30, 40))
         assert np.array_equal(grid_idx.ravel(), ref[:1200])
         assert np.array_equal(grid_dist.ravel(), ref_dist[:1200])
@@ -179,8 +187,9 @@ class TestRefinedGrid:
         ref, ref_dist = _brute(packing, pts)
         idx, dist = packing.nearest_center(pts)
         assert np.array_equal(idx, ref) and np.array_equal(dist, ref_dist)
-        for z, i, d in zip(pts.tolist(), ref.tolist(), ref_dist.tolist()):
-            assert packing._nearest_one(z) == (i, d)
+        assert [packing._nearest_one(z) for z in pts.tolist()] == ref.tolist()
+        for depth_max in (1, 32):
+            assert_twins_agree(pts, _params(packing), depth_max)
 
 
 class TestDeriveParams:

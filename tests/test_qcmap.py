@@ -27,8 +27,8 @@ from cantorqc import (
     phi_inverse_batch,
     unresolved_area,
 )
-from cantorqc.qcmap import _descend
-from descent import descents
+from cantorqc.qcmap import SEAM_RTOL, _descend
+from descent import assert_twins_agree, descents
 from fdtools import fd_derivatives as _fd
 from oracle_composition import chain, literal_phi
 from test_golden import _chain, _disk
@@ -306,6 +306,60 @@ class TestSeams:
             outer = zi + p.r * np.exp(1j * theta)
             radial_out = zi + (np.abs(outer - zi) / p.r) ** exp_in * (outer - zi)
             assert np.abs((a + b * radial_out) - (a + b * outer)).max() < 1e-12
+
+
+def _ulps_around(x: float, n: int = 8) -> list[float]:
+    """The ``n`` floats below ``x`` and the ``n`` above it."""
+    out, lo, hi = [], x, x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestSeamUlps:
+    """Where Python's ``abs`` and ``np.abs`` could fall on either side of a
+    branch or of a seam band's edge, the scalar descent decides as the batch."""
+
+    @pytest.mark.parametrize("side", ["source", "image"])
+    @pytest.mark.parametrize("K", [1.0, 2.0])
+    @pytest.mark.parametrize("t, m", [(1.0, 7), (1.0, 19), (1.9, 217)])
+    def test_twins_agree_within_ulps_of_a_seam(self, t, m, K, side):
+        # 1 to 8 ulp from the seam circles d = ratio and d = r and from the
+        # edges of their bands, in the frame of level 0 to 3 of chains through
+        # the origin centre and through random ones
+        p = derive_params(t, K, build_packing(m))
+        ratio, centers = p.ratio(side), p.packing.centers
+        rng = RNG([m, int(K)])
+        radii = np.array([
+            x for rho in (ratio, p.r) for edge in (1.0 - SEAM_RTOL, 1.0, 1.0 + SEAM_RTOL)
+            for x in _ulps_around(rho * edge)
+        ])
+        flagged = 0
+        for level in range(4):
+            chains = 3 if level else 0
+            digits = np.vstack([np.zeros((1, level), int), rng.integers(0, m, (chains, level))])
+            a, s = _chain(centers, digits, ratio)
+            turns = np.exp(2j * math.pi * rng.uniform(size=(radii.size, 4**level)))
+            u = centers[rng.integers(0, m, (radii.size, 1))] + radii[:, None] * turns
+            z = (a[:, None] + s * u.ravel()).ravel()
+            if level:
+                # below level 0 the kernels' frames may differ in the last bit:
+                # the scalar one divides each part by the ratio, the batch one
+                # multiplies by its inverse.  Only points whose level-``level``
+                # frames agree are kept, fewer the deeper the level (hence the
+                # 4**level turns)
+                lv, x, *_ = _descend(z, p, side, level)
+                fr, fi = z.real, z.imag
+                for c in centers[np.repeat(digits, u.size, axis=0)].T:
+                    fr, fi = (fr - c.real) / ratio, (fi - c.imag) / ratio
+                kept = np.flatnonzero((x.real == fr) & (x.imag == fi) & (lv == level))
+                assert kept.size >= 40
+                z = z[kept[:256]]
+            assert_twins_agree(z, p, level + 1, side)
+            flagged += int(_descend(z, p, side, level + 1)[-1].sum())
+        # most points lie in a seam band, where the scalar kernel reads np.abs
+        assert flagged >= 300
 
 
 class TestInverse:
