@@ -543,6 +543,11 @@ class TestLpMassClosedForm:
 #: unchanged, is recaptured, not mended.
 LP_MASS_DIGEST = "88aa35d911e85f32fa97290f7ad597c9315b86119fe158231d7d54d39a368ce3"
 
+#: The same at depth 6, the depth of criterion 7, on 60,000 samples per call
+#: at the layouts the stratified sampler's rejection meets most and least
+#: often (m = 100 and t = 1.9, m = 217), and at m = 7.
+LP_MASS_DEPTH6_DIGEST = "03fe8c9c37c119bbf6332cded4f32f703c806ebfa485a7a7dc8d831bee59acda"
+
 
 class TestLpMassMonteCarlo:
     def test_digest(self):
@@ -554,6 +559,16 @@ class TestLpMassMonteCarlo:
                     est = lp_mass_monte_carlo(pp, p, 20000, 5, seed=m, method=method)
                     h.update(repr((est.estimate, est.stderr, est.undefined_fraction)).encode())
         assert h.hexdigest() == LP_MASS_DIGEST
+
+    def test_depth6_digest(self):
+        h = hashlib.sha256()
+        for t, m in ((1.0, 7), (1.0, 100), (1.9, 217)):
+            p = derive_params(t, 2.0, build_packing(m))
+            for method in ("uniform", "stratified"):
+                for pp in (1.0, 1.5):
+                    est = lp_mass_monte_carlo(pp, p, 60000, 6, seed=600 + m, method=method)
+                    h.update(repr((est.estimate, est.stderr, est.undefined_fraction)).encode())
+        assert h.hexdigest() == LP_MASS_DEPTH6_DIGEST
 
     def test_k1_estimates_pi(self, params7_k1):
         est = lp_mass_monte_carlo(1.0, params7_k1, 20000, 6, seed=3, method="uniform")
