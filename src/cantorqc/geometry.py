@@ -353,6 +353,32 @@ class _CellGrid:
         fx[outside] = -1.0
         return fx.astype(np.intp)
 
+    def clear_cells(self, radius: float) -> np.ndarray:
+        """Per cell, whether every point of it lies farther than ``radius``
+        from every center, then a last entry False, which cell -1 reads.
+
+        A cell is clear when each center of its row is farther than
+        ``radius*(1 + _GRID_SLACK)`` from the cell widened as :func:`_rows`
+        widens it; a center off the row is never the nearest there, so it is
+        farther still.  The slack is far above the rounding of a distance, so
+        a point of a clear cell has ``np.abs(z - c) >= radius`` for every c.
+        """
+        x, y = self.padded.real, self.padded.imag
+        half = self.h / 2.0 + _GRID_SLACK * self.h
+        bound = (radius * (1.0 + _GRID_SLACK)) ** 2
+        clear = np.zeros(self.nx * self.ny + 1, dtype=bool)
+        step = max(1, _PAIRS // self.table.shape[1])
+        for start in range(0, self.nx * self.ny, step):
+            row = self.table[start : start + step]
+            ix, iy = np.divmod(np.arange(start, start + row.shape[0]), self.ny)
+            # the sentinel's row entries lie at infinity, never near
+            ax = np.abs(x.take(row) - (self.x0 + self.h * (ix + 0.5))[:, None]) - half
+            ay = np.abs(y.take(row) - (self.y0 + self.h * (iy + 0.5))[:, None]) - half
+            np.maximum(ax, 0.0, out=ax)
+            np.maximum(ay, 0.0, out=ay)
+            clear[start : start + row.shape[0]] = (ax * ax + ay * ay).min(axis=1) > bound
+        return clear
+
     def candidates(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(point, center)`` index pairs: the row of each point's cell, or
         every center for a point of cell -1."""

@@ -76,8 +76,8 @@ def _check_depth(depth_max: int, affine_ratio: float) -> None:
 
 
 def _descend(
-    zs: np.ndarray, params: ConstructionParams, side: str, depth_max: int
-) -> tuple[np.ndarray, ...]:
+    zs: np.ndarray, params: ConstructionParams, side: str, depth_max: int, frames: bool = True
+) -> tuple[np.ndarray | None, ...]:
     """The case split of every generation, vectorized over the flattened points.
 
     Returns per point ``(level, x, d, idx, a, b, seam)``: the terminal level
@@ -87,54 +87,74 @@ def _descend(
     frame value ``v`` to ``a + b*v`` (``b`` is real), and whether a visited
     level lay within :data:`SEAM_RTOL` of a seam.  A
     terminal point is in the identity region if ``d >= r``, else on the ring,
-    which holds its inner seam ``d == ratio``.
+    which holds its inner seam ``d == ratio``.  With ``frames=False``,
+    ``x``, ``idx``, ``a`` and ``b`` are ``None`` and their work is skipped;
+    ``level``, ``d`` and ``seam`` have the same bits either way.  The
+    Jacobian reads only those three, so both Monte Carlo estimators still
+    evaluate it through this case split.
 
     Points go through in blocks of :data:`_BLOCK`, so that no temporary
     grows with the batch; no output depends on the block.  A block's
     frontier (frame points ``xf``, offsets ``af`` and indices ``at`` of the
     points still descending) shrinks only at a level that some point
     leaves, and a leaving point's outputs are written once, at that level.
+    Only points with ``d >= ratio - 2*tol_in`` can leave or lie in a seam
+    band (the outer one too, as ``r > ratio``), so only they are tested.
     """
     # the grid first, so that its tables lie below the batch's arrays on the heap
     grid, centers = params.packing._grid, params.packing.centers
     ratio, affine, _ = _side_table(params, side)
     _check_depth(depth_max, affine)
-    x = _finite_points(zs, "map points").copy()
-    n, r = x.size, params.r
+    zs = _finite_points(zs, "map points")
+    n, r = zs.size, params.r
     tol_r, tol_in = SEAM_RTOL * r, SEAM_RTOL * ratio
-    a = np.zeros(n, dtype=np.complex128)
+    near_from = ratio - 2.0 * tol_in
     level = np.full(n, depth_max, dtype=np.int64)
     dist = np.zeros(n, dtype=np.float64)
-    idx = np.zeros(n, dtype=np.int64)
     seam = np.zeros(n, dtype=bool)
+    x = a = idx = af = None
+    if frames:
+        x, a = zs.copy(), np.zeros(n, dtype=np.complex128)
+        idx = np.zeros(n, dtype=np.int64)
     scales, inv = [1.0], 1.0 / ratio
     for start in range(0, n, _BLOCK):
         at = np.arange(start, min(start + _BLOCK, n))
-        xf, af = x[start : start + _BLOCK], np.zeros(at.size, dtype=np.complex128)
+        xf = zs[start : start + _BLOCK]
+        if frames:
+            af = np.zeros(at.size, dtype=np.complex128)
         for lv in range(depth_max):
             if lv + 1 == len(scales):
                 scales.append(scales[-1] * affine)
             i = grid.nearest(xf)
             diff = xf - centers.take(i)
             d = np.abs(diff)
-            seam[at[(np.abs(d - r) <= tol_r) | (np.abs(d - ratio) <= tol_in)]] = True
-            inside = d < ratio
-            if not inside.all():
-                final, keep = np.flatnonzero(~inside), np.flatnonzero(inside)
-                done = at[final]
-                level[done], dist[done], idx[done] = lv, d[final], i[final]
-                # at level 0 the frame point and its offset 0 are in place
-                if lv:
-                    x[done], a[done] = xf[final], af[final]
-                at, af = at[keep], af[keep]
-                i, diff = i[keep], diff[keep]
-                if at.size == 0:
-                    break
-            af += scales[lv] * centers.take(i)
+            near = np.flatnonzero(d >= near_from)
+            if near.size:
+                dn = d.take(near)
+                seam[at.take(near[(np.abs(dn - r) <= tol_r) | (np.abs(dn - ratio) <= tol_in)])] = True
+                final = near[dn >= ratio]
+                if final.size:
+                    done = at.take(final)
+                    level[done], dist[done] = lv, d.take(final)
+                    keep = np.flatnonzero(d < ratio)
+                    at, diff = at.take(keep), diff.take(keep)
+                    if frames:
+                        idx[done] = i.take(final)
+                        # at level 0 the frame point and its offset 0 are in place
+                        if lv:
+                            x[done], a[done] = xf[final], af[final]
+                        af, i = af.take(keep), i.take(keep)
+                    if at.size == 0:
+                        break
+            if frames:
+                af += scales[lv] * centers.take(i)
             diff *= inv
             xf = diff
         else:
-            x[at], a[at] = xf, af
+            if frames:
+                x[at], a[at] = xf, af
+    if not frames:
+        return level, None, dist, None, None, None, seam
     return level, x, dist, idx, a, np.asarray(scales)[level], seam
 
 
@@ -145,6 +165,10 @@ def _descend_one(
 
     A batch of one is several times slower per call, and NumPy's ``pow`` and
     complex multiply round differently from Python's, so both twins stay.
+    They agree at level 0, where both take the input as the frame.  Below
+    it this twin divides by the ratio and the batch multiplies by its
+    inverse, so the frames may differ in the last bit, or by more deep in a
+    tiny cylinder, and a point near a branch may end at another level.
 
     Each level's distance is Python's ``abs``, within 2 ulp of the batch's
     ``np.abs`` and ten times cheaper on a scalar.  Where that gap could turn
@@ -268,15 +292,16 @@ def jacobian_batch(
 ) -> np.ndarray:
     """Vectorized :func:`jacobian`; undefined points come back as NaN."""
     zs = np.asarray(zs, dtype=np.complex128)
-    level, _, d, _, _, _, seam = _descend(zs, params, "source", depth_max)
+    level, _, d, _, _, _, seam = _descend(zs, params, "source", depth_max, frames=False)
     K = params.K
     # lambda**k by repeated multiplication, rounding as the scalar path does
     powers = np.full(int(level.max(initial=0)) + 1, params.sigma ** (2.0 * (1.0 / K - 1.0)))
     powers[0] = 1.0
-    out = np.cumprod(powers)[level]
-    out[seam | (level == depth_max)] = np.nan
-    ring = np.isfinite(out) & (d < params.r)
+    out = np.cumprod(powers).take(level)
+    undefined = seam | (level == depth_max)
+    ring = np.flatnonzero(~undefined & (d < params.r))
     out[ring] = out[ring] * (1.0 / K) * (d[ring] / params.r) ** (2.0 * (1.0 / K - 1.0))
+    out[np.flatnonzero(undefined)] = np.nan
     return out.reshape(zs.shape)
 
 
@@ -408,18 +433,23 @@ def _jacobian_powers(
 
 
 def _template_points(
-    rng: np.random.Generator, n: int, params: ConstructionParams
+    rng: np.random.Generator, n: int, params: ConstructionParams, clear: np.ndarray
 ) -> np.ndarray:
     """Uniform draws from the unit disk minus the generating disks.
 
     Each round draws the radii and angles of ``_uniform_disk`` for twice the
     points still missing, but maps and tests only the leading candidates,
     never more than are still missing at a time, so that the draws after the
-    last one kept cost nothing beyond the generator.
+    last one kept cost nothing beyond the generator.  A candidate is kept
+    when ``d >= sigma*r`` for its nearest-center distance ``d``.  ``clear``
+    is ``packing._grid.clear_cells(sigma*r)``: a candidate in a clear cell
+    is kept without a lookup, as the test would keep it, so the draws kept
+    are the same.
     """
     out = np.empty(n, dtype=np.complex128)
     got = 0
     inner = params.sigma * params.r
+    grid = params.packing._grid
     while got < n:
         size = max(256, 2 * (n - got))
         rad = rng.uniform(0.0, 1.0, size)
@@ -428,8 +458,10 @@ def _template_points(
         while got < n and start < size:
             stop = start + (n - got)
             cand = np.sqrt(rad[start:stop]) * np.exp(1j * ang[start:stop])
-            _, d = params.packing.nearest_center(cand)
-            cand = cand[d >= inner]
+            doubt = np.flatnonzero(~clear.take(grid.cells(cand)))
+            if doubt.size:
+                _, d = params.packing.nearest_center(cand.take(doubt))
+                cand = np.delete(cand, doubt[d < inner])
             out[got : got + cand.size] = cand
             got += cand.size
             start = stop
@@ -480,6 +512,7 @@ def lp_mass_monte_carlo(
         sr = params.source_ratio
         centers = params.packing.centers
         template_area = math.pi * (1.0 - params.c_m * params.sigma**2)
+        clear = params.packing._grid.clear_cells(params.sigma * params.r)
         base = samples // depth_max
         extra = samples % depth_max
         streams = np.random.SeedSequence(seed).spawn(depth_max)
@@ -489,7 +522,7 @@ def lp_mass_monte_carlo(
         for k in range(depth_max):
             n_k = base + (1 if k < extra else 0)
             rng = np.random.default_rng(streams[k])
-            u = _template_points(rng, n_k, params)
+            u = _template_points(rng, n_k, params, clear)
             if k > 0:
                 a, scale = _chain_offsets(rng.integers(0, m, size=(n_k, k)), centers, sr)
                 z = a + scale * u

@@ -89,6 +89,12 @@ MUTANTS = [
     ("scalar descent keeps Python's distance at the exit level", "qcmap.py",
      "if d >= exact_from:",
      "if exact_from <= d < ratio:"),
+    ("batch descent tests seams only from d >= ratio", "qcmap.py",
+     "near = np.flatnonzero(d >= near_from)",
+     "near = np.flatnonzero(d >= ratio)"),
+    ("clear cells measured from the cell centres", "geometry.py",
+     "half = self.h / 2.0 + _GRID_SLACK * self.h",
+     "half = _GRID_SLACK * self.h"),
 ]
 
 #: Tier-1 without the tests that only compare pinned outputs, and without

@@ -191,6 +191,32 @@ class TestRefinedGrid:
         for depth_max in (1, 32):
             assert_twins_agree(pts, _params(packing), depth_max)
 
+    @pytest.mark.parametrize("m", [7, 100, 217, "darts"])
+    def test_clear_cells_lie_beyond_the_radius(self, m):
+        # every point that ``cells`` puts in a clear cell, on its corners and
+        # an ulp either side of them, or inside it, is at least the radius
+        # from every center
+        packing = _dart_packing() if m == "darts" else build_packing(m)
+        grid = packing._grid
+        rng = np.random.default_rng(grid.ny)
+        ix, iy = np.divmod(np.arange(grid.nx * grid.ny), grid.ny)
+        for radius in (_params(packing).sigma * packing.r, packing.r, 2.0 * packing.r):
+            clear = grid.clear_cells(radius)
+            assert clear.shape == (grid.nx * grid.ny + 1,) and not clear[-1]
+            assert 0 < np.count_nonzero(clear) < grid.nx * grid.ny
+            parts = []
+            for dx, dy in product((0.0, 1.0), repeat=2):
+                x, y = grid.x0 + grid.h * (ix + dx), grid.y0 + grid.h * (iy + dy)
+                for ux, uy in product((-np.inf, None, np.inf), repeat=2):
+                    parts.append((x if ux is None else np.nextafter(x, ux))
+                                 + 1j * (y if uy is None else np.nextafter(y, uy)))
+            u = rng.uniform(size=(2, 8, ix.size))
+            parts.append((grid.x0 + grid.h * (ix + u[0])) + 1j * (grid.y0 + grid.h * (iy + u[1])))
+            pts = np.concatenate([p.ravel() for p in parts])
+            pts = pts[clear.take(grid.cells(pts))]
+            assert pts.size > 0
+            assert (_brute(packing, pts)[1] >= radius).all()
+
 
 class TestDeriveParams:
     def test_conformal_case(self, packing7):

@@ -27,11 +27,11 @@ from cantorqc import (
     phi_inverse_batch,
     unresolved_area,
 )
-from cantorqc.qcmap import SEAM_RTOL, _descend
+from cantorqc.qcmap import SEAM_RTOL, _descend, _template_points
 from descent import assert_twins_agree, descents
 from fdtools import fd_derivatives as _fd
 from oracle_composition import chain, literal_phi
-from test_golden import _chain, _disk
+from test_golden import _chain, _configs, _disk
 
 RNG = np.random.default_rng
 
@@ -247,6 +247,18 @@ class TestBatchKernels:
             for a in out if isinstance(out, tuple) else (out,):
                 h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest() == SIGNED_ZERO_DIGESTS[m]
+
+    def test_frames_change_no_level_distance_or_seam(self):
+        # the Jacobian's descent keeps no frames; on every golden point family
+        # it ends where the map's descent does, with the same distance bits
+        for p, families, depth_max in _configs():
+            zs = np.concatenate(families)
+            for side in ("source", "image"):
+                want_level, _, want_d, _, _, _, want_seam = _descend(zs, p, side, depth_max)
+                level, x, d, idx, a, b, seam = _descend(zs, p, side, depth_max, frames=False)
+                assert x is idx is a is b is None
+                for got, want in ((level, want_level), (d, want_d), (seam, want_seam)):
+                    assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (side, depth_max)
 
     def test_blocking_bounds_memory(self, params100):
         # the per-point outputs take about 23 MB; temporaries of the whole
@@ -549,7 +561,40 @@ LP_MASS_DIGEST = "88aa35d911e85f32fa97290f7ad597c9315b86119fe158231d7d54d39a368c
 LP_MASS_DEPTH6_DIGEST = "03fe8c9c37c119bbf6332cded4f32f703c806ebfa485a7a7dc8d831bee59acda"
 
 
+def _exact_template_points(rng, n, params):
+    """The stratified sampler's template draws as they were taken before the
+    clear-cell table: a nearest-centre lookup on every candidate."""
+    out = np.empty(n, dtype=np.complex128)
+    got = 0
+    inner = params.sigma * params.r
+    while got < n:
+        size = max(256, 2 * (n - got))
+        rad = rng.uniform(0.0, 1.0, size)
+        ang = rng.uniform(0.0, 2.0 * math.pi, size)
+        start = 0
+        while got < n and start < size:
+            stop = start + (n - got)
+            cand = np.sqrt(rad[start:stop]) * np.exp(1j * ang[start:stop])
+            _, d = params.packing.nearest_center(cand)
+            cand = cand[d >= inner]
+            out[got : got + cand.size] = cand
+            got += cand.size
+            start = stop
+    return out
+
+
 class TestLpMassMonteCarlo:
+    @pytest.mark.parametrize("t, m", [(1.0, 7), (1.0, 19), (1.0, 100), (1.9, 217)])
+    def test_template_points_match_the_exact_filter(self, t, m):
+        p = derive_params(t, 2.0, build_packing(m))
+        clear = p.packing._grid.clear_cells(p.sigma * p.r)
+        for seed, n in ((m, 1), (m + 1, 300), (m + 2, 40000)):
+            rng, ref = RNG(seed), RNG(seed)
+            got, want = _template_points(rng, n, p, clear), _exact_template_points(ref, n, p)
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (seed, n)
+            # the same draws consumed, so the chain digits drawn next are the same
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_digest(self):
         h = hashlib.sha256()
         for t, m in ((1.0, 7), (1.0, 19), (1.0, 100), (1.9, 217)):
