@@ -153,9 +153,8 @@ def _descend(
         else:
             if frames:
                 x[at], a[at] = xf, af
-    if not frames:
-        return level, None, dist, None, None, None, seam
-    return level, x, dist, idx, a, np.asarray(scales)[level], seam
+    b = np.asarray(scales)[level] if frames else None
+    return level, x, dist, idx, a, b, seam
 
 
 def _descend_one(
@@ -297,7 +296,7 @@ def jacobian_batch(
     # lambda**k by repeated multiplication, rounding as the scalar path does
     powers = np.full(int(level.max(initial=0)) + 1, params.sigma ** (2.0 * (1.0 / K - 1.0)))
     powers[0] = 1.0
-    out = np.cumprod(powers).take(level)
+    out = np.cumprod(powers)[level]
     undefined = seam | (level == depth_max)
     ring = np.flatnonzero(~undefined & (d < params.r))
     out[ring] = out[ring] * (1.0 / K) * (d[ring] / params.r) ** (2.0 * (1.0 / K - 1.0))
