@@ -561,6 +561,18 @@ LP_MASS_DIGEST = "88aa35d911e85f32fa97290f7ad597c9315b86119fe158231d7d54d39a368c
 LP_MASS_DEPTH6_DIGEST = "03fe8c9c37c119bbf6332cded4f32f703c806ebfa485a7a7dc8d831bee59acda"
 
 
+def _lp_mass_digest(layouts, samples, depth, seed):
+    """SHA-256 of both methods' estimates at p in {1, 1.5}, seeded ``seed + m``."""
+    h = hashlib.sha256()
+    for t, m in layouts:
+        p = derive_params(t, 2.0, build_packing(m))
+        for method in ("uniform", "stratified"):
+            for pp in (1.0, 1.5):
+                est = lp_mass_monte_carlo(pp, p, samples, depth, seed=seed + m, method=method)
+                h.update(repr((est.estimate, est.stderr, est.undefined_fraction)).encode())
+    return h.hexdigest()
+
+
 def _exact_template_points(rng, n, params):
     """The stratified sampler's template draws as they were taken before the
     clear-cell table: a nearest-centre lookup on every candidate."""
@@ -596,24 +608,12 @@ class TestLpMassMonteCarlo:
             assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_digest(self):
-        h = hashlib.sha256()
-        for t, m in ((1.0, 7), (1.0, 19), (1.0, 100), (1.9, 217)):
-            p = derive_params(t, 2.0, build_packing(m))
-            for method in ("uniform", "stratified"):
-                for pp in (1.0, 1.5):
-                    est = lp_mass_monte_carlo(pp, p, 20000, 5, seed=m, method=method)
-                    h.update(repr((est.estimate, est.stderr, est.undefined_fraction)).encode())
-        assert h.hexdigest() == LP_MASS_DIGEST
+        layouts = ((1.0, 7), (1.0, 19), (1.0, 100), (1.9, 217))
+        assert _lp_mass_digest(layouts, 20000, 5, 0) == LP_MASS_DIGEST
 
     def test_depth6_digest(self):
-        h = hashlib.sha256()
-        for t, m in ((1.0, 7), (1.0, 100), (1.9, 217)):
-            p = derive_params(t, 2.0, build_packing(m))
-            for method in ("uniform", "stratified"):
-                for pp in (1.0, 1.5):
-                    est = lp_mass_monte_carlo(pp, p, 60000, 6, seed=600 + m, method=method)
-                    h.update(repr((est.estimate, est.stderr, est.undefined_fraction)).encode())
-        assert h.hexdigest() == LP_MASS_DEPTH6_DIGEST
+        layouts = ((1.0, 7), (1.0, 100), (1.9, 217))
+        assert _lp_mass_digest(layouts, 60000, 6, 600) == LP_MASS_DEPTH6_DIGEST
 
     def test_k1_estimates_pi(self, params7_k1):
         est = lp_mass_monte_carlo(1.0, params7_k1, 20000, 6, seed=3, method="uniform")
