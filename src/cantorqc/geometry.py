@@ -110,12 +110,16 @@ class DiskPacking:
         Closed disks are disjoint, so the only disk that can contain a point
         is the one with the nearest center.  The index is exactly
         ``argmin(np.abs(pts - centers))`` (first index on ties), for every
-        ``m``: a point whose grid cell has one owner takes it from a table
-        read, any other searches its cell's candidate list, and a point
-        outside the grid searches every center (see :class:`_CellGrid`).
+        ``m``.  The lookup grid has cells of side about ``r/8``: a point whose
+        cell has one owner takes it from a table read (in descents of
+        unit-disk and deep-cylinder points, 98%, 97% and 91% of lookups at
+        m = 7, 100 and, with t = 1.9, 217), any other searches
+        its cell's candidate list, and a point outside the grid searches
+        every center (see :class:`_CellGrid`).  A non-finite point raises
+        :class:`ParameterError`.
         """
         pts = np.asarray(pts, dtype=np.complex128)
-        flat = pts.ravel()
+        flat = _finite_points(pts, "lookup points")
         idx = np.empty(flat.size, dtype=np.intp)
         dist = np.empty(flat.size)
         # block by block, so that a large batch allocates no temporary of its size
@@ -132,7 +136,8 @@ class DiskPacking:
         ten times Python's ``abs`` on a scalar, so here it only ranks near ties."""
         grid = self._grid
         fx, fy = (z.real - grid.x0) / grid.h, (z.imag - grid.y0) / grid.h
-        if not (0.0 <= fx < grid.nx and 0.0 <= fy < grid.ny):
+        # outside the border ring's inner edge, the batch lookup searches every center
+        if not (1.0 <= fx < grid.nx - 1 and 1.0 <= fy < grid.ny - 1):
             return int(grid.nearest(np.array([z], dtype=np.complex128))[0])
         cell = int(fx) * grid.ny + int(fy)
         j = grid.owners.item(cell)
@@ -188,11 +193,12 @@ class DiskPacking:
         }
 
 
-#: Side ratio of consecutive grid levels.  A packing's lookup grid is this
-#: many times finer than its radius, so most of its cells lie inside one
-#: Voronoi cell and have an owner; every grid's rows are drawn from those of
-#: coarser levels, each this many times coarser than the next.
+#: Side ratio of consecutive coarse grid levels: every grid's rows are drawn
+#: from those of coarser levels, each this many times coarser than the next.
 _REFINE = 4
+#: A packing's lookup grid is this many times finer than its radius, so most
+#: of its cells lie inside one Voronoi cell and have an owner.
+_OWNER_REFINE = 8
 
 #: Relative widening of every grid cell and candidate bound, far above the
 #: rounding of the distances compared, so no possible nearest center is dropped.
@@ -204,6 +210,9 @@ _CELLS_PER_CENTER = 8
 #: Point-candidate pairs, or points of a block, held at once by a lookup: a
 #: few hundred kB of temporaries.
 _PAIRS = 1 << 13
+#: Point-candidate pairs searched at once by :meth:`_CellGrid.nearest`: a
+#: descent block of 65,536 points at row width 3 takes one pass.
+_CANDIDATE_PAIRS = 1 << 18
 
 
 def _sq_dist(z: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -233,14 +242,16 @@ def _rows(
     pad: float,
     reach: float,
     cand: np.ndarray,
-    parent_ny: int = 0,
+    parent: tuple[float, int] | None = None,
 ) -> np.ndarray:
     """Candidate table of the ``nx*ny`` cells of side ``h`` from ``(x0, y0)``,
-    ``level = (x0, y0, h, nx, ny)``, each widened by ``pad + _GRID_SLACK*h``.
+    ``level = (x0, y0, h, nx, ny)``, each widened by ``pad + _GRID_SLACK*h``,
+    ringed by one border cell on every side: row ``(ix+1)*(ny+2) + iy+1``
+    serves cell ``(ix, iy)``, and a border row lists no center.
 
-    With ``parent_ny``, ``cand`` is the table of the grid ``_REFINE`` times
-    coarser from the same corner, ``parent_ny`` cells high, and cell
-    ``(ix, iy)`` searches the row of its parent ``(ix//_REFINE, iy//_REFINE)``;
+    With ``parent = (hp, nyp)``, ``cand`` is the table of the grid of side
+    ``hp = k*h`` from the same corner, ``nyp`` cells high without its ring,
+    and cell ``(ix, iy)`` searches the row of its parent ``(ix//k, iy//k)``;
     without, every cell searches the one row of ``cand``.  Every row lists
     its centers in increasing order, padded with the sentinel index ``m``.
     """
@@ -248,15 +259,17 @@ def _rows(
     m = padded.size - 1
     x, y = np.ascontiguousarray(padded.real), np.ascontiguousarray(padded.imag)
     half = h / 2.0 + pad + _GRID_SLACK * h
-    # a row is never wider than the rows it is drawn from
-    table = np.full((nx * ny, cand.shape[1]), m, dtype=np.int32)
-    width = 1
+    # the smallest integer type that holds the sentinel: rows of bytes below 256 centers
+    dtype = np.min_scalar_type(m)
+    if parent:
+        k, nyp = round(parent[0] / h), parent[1]
     step = max(1, _PAIRS // cand.shape[1])
+    parts = []
     for start in range(0, nx * ny, step):
         ix, iy = np.divmod(np.arange(start, min(start + step, nx * ny)), ny)
         # one column per cell, so that reductions over a row run down columns
-        if parent_ny:
-            row = np.ascontiguousarray(cand.take(ix // _REFINE * parent_ny + iy // _REFINE, axis=0).T)
+        if parent:
+            row = np.ascontiguousarray(cand.take((ix // k + 1) * (nyp + 2) + iy // k + 1, axis=0).T)
         else:
             row = np.broadcast_to(cand.T, (cand.shape[1], ix.size))
         ax = np.abs(x.take(row) - (x0 + h * (ix + 0.5)))
@@ -270,25 +283,34 @@ def _rows(
         listed = ax * ax + ay * ay <= bound * bound
         # a listed center's place in its row: how many are listed up to it
         place = np.cumsum(listed, axis=0)
-        width = max(width, int(place[-1].max()))
         col, cell = np.nonzero(listed)
-        table[start + cell, place[col, cell] - 1] = row[col, cell]
-    return np.ascontiguousarray(table[:, :width])
+        part = np.full((ix.size, int(place[-1].max())), m, dtype=dtype)
+        part[cell, place[col, cell] - 1] = row[col, cell]
+        parts.append(part)
+    table = np.full(((nx + 2) * (ny + 2), max(part.shape[1] for part in parts)), m, dtype=dtype)
+    for start, part in zip(range(0, nx * ny, step), parts):
+        # cell ix*ny + iy is row (ix+1)*(ny+2) + iy+1
+        cell = np.arange(start, start + part.shape[0])
+        table[cell + 2 * (cell // ny) + ny + 3, : part.shape[1]] = part
+    return table
 
 
 @dataclass(frozen=True, eq=False)
 class _CellGrid:
-    """Uniform grid over a box holding every center, and ``[-extent, extent]**2``.
+    """Uniform grid over a box holding every center, and ``[-extent, extent]**2``,
+    ringed by one border cell on every side: ``nx``, ``ny`` and the corner
+    ``(x0, y0)`` include the ring.
 
     Row ``c`` of ``table`` lists, in increasing order, every center ``S`` with
     ``dist(S, cell) <= min_T maxdist(T, cell) + reach``: with ``reach = 0``
     no other center can be the nearest to a point of cell ``c``.  Rows are
     padded with index ``m``, the sentinel at infinity that ends ``padded``.
-    Points outside the box are searched by brute force.
+    A border row lists no center; :meth:`cells` puts every point outside
+    the box in a border cell, and those points are searched by brute force.
 
     A cell whose row lists one center is owned by it: ``owners`` holds that
-    center per cell, or ``-2 - cell`` where the row lists several, then a
-    last entry -1, which a point outside the box (cell -1) reads.
+    center per cell, ``-2 - cell`` where the row lists several and -1 in the
+    border cells, then a last entry -1, which cell -1 reads.
     """
 
     x0: float
@@ -311,14 +333,14 @@ class _CellGrid:
         refine: bool = False,
     ) -> "_CellGrid":
         """Grid of cell side at least ``h``, and at most ``_CELLS_PER_CENTER * m``
-        cells, each split into ``_REFINE**2`` with ``refine``; each cell's rows
-        also serve the points within ``pad`` of it."""
+        cells, each split into ``_OWNER_REFINE**2`` with ``refine``; each
+        cell's rows also serve the points within ``pad`` of it."""
         x, y = centers.real, centers.imag
         x0, x1 = min(-extent, float(x.min())), max(extent, float(x.max()))
         y0, y1 = min(-extent, float(y.min())), max(extent, float(y.max()))
         h = max(h, math.sqrt((x1 - x0) * (y1 - y0) / (_CELLS_PER_CENTER * centers.size)))
         nx, ny = math.ceil((x1 - x0) / h), math.ceil((y1 - y0) / h)
-        levels = [(h / _REFINE, nx * _REFINE, ny * _REFINE)] if refine else []
+        levels = [(h / _OWNER_REFINE, nx * _OWNER_REFINE, ny * _OWNER_REFINE)] if refine else []
         levels.append((h, nx, ny))
         while 1 < nx * ny and _PAIRS < nx * ny * centers.size:
             h, nx, ny = h * _REFINE, -(-nx // _REFINE), -(-ny // _REFINE)
@@ -327,13 +349,14 @@ class _CellGrid:
         # in its parent, so it is nearer to every center and its bound is no
         # larger: the parent's row holds its row
         padded = np.append(centers, complex(math.inf, math.inf))
-        table, parent_ny = np.arange(centers.size)[None, :], 0
+        table, parent = np.arange(centers.size)[None, :], None
         for h, nx, ny in reversed(levels):
-            table = _rows(padded, (x0, y0, h, nx, ny), pad, reach, table, parent_ny)
-            parent_ny = ny
-        owned = np.count_nonzero(table < centers.size, axis=1) == 1
-        owners = np.append(np.where(owned, table[:, 0], -2 - np.arange(owned.size)), -1)
-        return cls(x0, y0, h, nx, ny, table, padded, owners.astype(np.int32))
+            table = _rows(padded, (x0, y0, h, nx, ny), pad, reach, table, parent)
+            parent = (h, ny)
+        listed = np.count_nonzero(table < centers.size, axis=1)
+        shared = np.where(listed > 1, -2 - np.arange(listed.size, dtype=np.int32), -1)
+        owners = np.append(np.where(listed == 1, table[:, 0], shared), np.int32(-1))
+        return cls(x0 - h, y0 - h, h, nx + 2, ny + 2, table, padded, owners)
 
     @cached_property
     def points(self) -> list[complex]:
@@ -341,21 +364,28 @@ class _CellGrid:
         return self.padded.tolist()
 
     def cells(self, pts: np.ndarray) -> np.ndarray:
-        """Cell of each point of the flat ``pts``, -1 outside the box."""
+        """Cell of each point of the flat ``pts``; a point outside the box
+        takes the nearest border cell."""
+        inv = 1.0 / self.h
         fx = pts.real - self.x0
-        fx /= self.h
-        fy = pts.imag - self.y0
-        fy /= self.h
-        outside = ~((fx >= 0.0) & (fx < self.nx) & (fy >= 0.0) & (fy < self.ny))
+        fx *= inv
+        np.clip(fx, 0.0, self.nx - 1, out=fx)
         np.floor(fx, out=fx)
         fx *= self.ny
+        fy = pts.imag - self.y0
+        fy *= inv
+        np.clip(fy, 0.0, self.ny - 1, out=fy)
         fx += np.floor(fy, out=fy)
-        fx[outside] = -1.0
         return fx.astype(np.intp)
+
+    def outside(self, cells: np.ndarray) -> np.ndarray:
+        """Whether each cell is a border cell, or -1: its points lie outside the box."""
+        return self.owners.take(cells) == -1
 
     def clear_cells(self, radius: float) -> np.ndarray:
         """Per cell, whether every point of it lies farther than ``radius``
-        from every center, then a last entry False, which cell -1 reads.
+        from every center, then a last entry False, which cell -1 reads;
+        border cells are never clear.
 
         A cell is clear when each center of its row is farther than
         ``radius*(1 + _GRID_SLACK)`` from the cell widened as :func:`_rows`
@@ -366,7 +396,7 @@ class _CellGrid:
         x, y = self.padded.real, self.padded.imag
         half = self.h / 2.0 + _GRID_SLACK * self.h
         bound = (radius * (1.0 + _GRID_SLACK)) ** 2
-        clear = np.zeros(self.nx * self.ny + 1, dtype=bool)
+        clear = np.zeros(self.owners.size, dtype=bool)
         step = max(1, _PAIRS // self.table.shape[1])
         for start in range(0, self.nx * self.ny, step):
             row = self.table[start : start + step]
@@ -377,16 +407,18 @@ class _CellGrid:
             np.maximum(ax, 0.0, out=ax)
             np.maximum(ay, 0.0, out=ay)
             clear[start : start + row.shape[0]] = (ax * ax + ay * ay).min(axis=1) > bound
+        clear &= self.owners != -1
         return clear
 
     def candidates(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(point, center)`` index pairs: the row of each point's cell, or
-        every center for a point of cell -1."""
+        every center for a point of a border cell or cell -1."""
         m = self.padded.size - 1
-        listed = np.flatnonzero(cells >= 0)
+        outside = self.outside(cells)
+        listed = np.flatnonzero(~outside)
         rows = self.table[cells[listed]]
         real = rows < m
-        rest = np.flatnonzero(cells < 0)
+        rest = np.flatnonzero(outside)
         return (
             np.concatenate([np.repeat(listed, rows.shape[1])[real.ravel()], np.repeat(rest, m)]),
             np.concatenate([rows[real], np.tile(np.arange(m), rest.size)]),
@@ -394,12 +426,12 @@ class _CellGrid:
 
     def nearest(self, pts: np.ndarray) -> np.ndarray:
         """``argmin(np.abs(pts - centers))`` per point of the flat ``pts``."""
-        # an owned cell answers at once; any other leaves -2 - cell behind
-        idx = self.cells(pts)
-        idx[:] = self.owners.take(idx)
+        # an owned cell answers at once; any other leaves -2 - cell behind,
+        # and a border cell -1
+        idx = self.owners.take(self.cells(pts))
         rest = np.flatnonzero(idx < 0)
         width = self.table.shape[1]
-        step = max(1, _PAIRS // width)
+        step = max(1, _CANDIDATE_PAIRS // width)
         for start in range(0, rest.size, step):
             at = rest[start : start + step]
             p, cell = pts.take(at), -2 - idx.take(at)
@@ -415,7 +447,8 @@ class _CellGrid:
                 best[tied] = np.argmin(np.abs(p[tied, None] - c[tied]), axis=1)
                 flat[tied] = best[tied] + tied * width
             idx[at] = cand.ravel().take(flat)
-            # cell -1 read the last row: search every center instead
+            # a border cell read the last row, which lists no center: search
+            # every center instead
             out = np.flatnonzero(cell < 0)
             if out.size:
                 idx[at[out]] = _brute_nearest(p[out], self.padded[:-1])

@@ -407,7 +407,7 @@ class DiscreteMeasure:
             # standing for atom m-1 of the same parent; the rest scan every atom
             cells = np.full(pt.size, -1)
             cells[keep] = _frame_cells(ifs._near_grid, (z[keep] - centre[keep]) / s**d, s**d)
-            listed = cells >= 0
+            listed = ~ifs._near_grid.outside(cells)
             atoms = node[listed, None] * m + np.minimum(ifs._near_grid.table[cells[listed]], m - 1)
             d2 = _sq_dist(z[listed, None], self.positions[atoms])
             np.minimum.at(best, pt[listed], d2.min(axis=1))
