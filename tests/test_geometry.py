@@ -17,7 +17,7 @@ from cantorqc import (
     derive_params,
     generation_centers,
 )
-from cantorqc.geometry import _REFINE, _CellGrid, _rows
+from cantorqc.geometry import _OWNER_REFINE, _CellGrid, _rows
 from descent import assert_twins_agree, descents
 from oracle_composition import chain
 
@@ -150,14 +150,25 @@ class TestRefinedGrid:
 
     @pytest.mark.parametrize("m", [7, 100, 217, "darts"])
     def test_rows_match_full_search(self, m):
+        # both grids count a ring of one border cell on every side in nx, ny
+        # and (x0, y0); the box itself starts at the lower left of the unit
+        # square or of the centers
         packing = _dart_packing() if m == "darts" else build_packing(m)
         grid = packing._grid
         coarse = _CellGrid.build(packing.centers, packing.r)
-        assert (grid.nx, grid.ny) == (coarse.nx * _REFINE, coarse.ny * _REFINE)
-        assert grid.h == coarse.h / _REFINE
+        nx, ny = grid.nx - 2, grid.ny - 2
+        assert (nx, ny) == ((coarse.nx - 2) * _OWNER_REFINE, (coarse.ny - 2) * _OWNER_REFINE)
+        assert grid.h == coarse.h / _OWNER_REFINE
+        x0, y0 = min(-1.0, packing.centers.real.min()), min(-1.0, packing.centers.imag.min())
+        assert (grid.x0, grid.y0) == (x0 - grid.h, y0 - grid.h)
         every = np.arange(packing.m)[None, :]
-        full = _rows(grid.padded, (grid.x0, grid.y0, grid.h, grid.nx, grid.ny), 0.0, 0.0, every)
+        full = _rows(grid.padded, (x0, y0, grid.h, nx, ny), 0.0, 0.0, every)
         assert np.array_equal(grid.table, full)
+        # the border cells, and they only, list no center and read "outside"
+        border = np.ones((grid.nx, grid.ny), dtype=bool)
+        border[1:-1, 1:-1] = False
+        assert np.array_equal(np.count_nonzero(full < packing.m, axis=1) == 0, border.ravel())
+        assert np.array_equal(grid.owners[:-1] == -1, border.ravel()) and grid.owners[-1] == -1
 
     @pytest.mark.parametrize("m", [7, 100, 217, "darts"])
     def test_owner_is_nearest_on_the_closed_cell(self, m):
