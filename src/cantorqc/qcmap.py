@@ -221,12 +221,13 @@ def _map_batch(
     level, x, d, idx, a, b, _ = _descend(zs, params, side, depth_max)
     _, affine, exponent = _side_table(params, side)
     unresolved = level == depth_max
-    ring = ~unresolved & (d < params.r)
-    c = params.packing.centers[idx[ring]]
-    x[ring] = c + (d[ring] / params.r) ** exponent * (x[ring] - c)
+    ring = np.flatnonzero(~unresolved & (d < params.r))
+    c = params.packing.centers.take(idx.take(ring))
+    x[ring] = c + (d.take(ring) / params.r) ** exponent * (x.take(ring) - c)
     x *= b
     x += a
-    x[unresolved] = a[unresolved]
+    out = np.flatnonzero(unresolved)
+    x[out] = a.take(out)
     err = np.where(unresolved, 2.0 * affine**depth_max, 0.0)
     return x.reshape(zs.shape), level.reshape(zs.shape), err.reshape(zs.shape)
 
