@@ -95,6 +95,12 @@ MUTANTS = [
     ("clear cells measured from the cell centres", "geometry.py",
      "half = self.h / 2.0 + _GRID_SLACK * self.h",
      "half = _GRID_SLACK * self.h"),
+    ("grid rows without the pad", "geometry.py",
+     "half = h / 2.0 + pad + _GRID_SLACK * h",
+     "half = h / 2.0 + _GRID_SLACK * h"),
+    ("border ring clamped one cell short", "geometry.py",
+     "np.clip(fx, 0.0, self.nx - 1, out=fx)",
+     "np.clip(fx, 0.0, self.nx - 2, out=fx)"),
 ]
 
 #: Tier-1 without the tests that only compare pinned outputs, and without

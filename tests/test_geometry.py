@@ -18,6 +18,7 @@ from cantorqc import (
     generation_centers,
 )
 from cantorqc.geometry import _OWNER_REFINE, _CellGrid, _rows
+from cantorqc.qcmap import _descend
 from descent import assert_twins_agree, descents
 from oracle_composition import chain
 
@@ -135,6 +136,10 @@ class TestNearestCenter:
         assert np.array_equal(grid_idx.ravel(), ref[:1200])
         assert np.array_equal(grid_dist.ravel(), ref_dist[:1200])
 
+    def test_non_finite_points_rejected(self):
+        with pytest.raises(ParameterError, match="lookup points must be finite; point 1 is"):
+            build_packing(7).nearest_center(np.array([0.3, complex(math.nan, 0.0)]))
+
 
 def _brute(packing: DiskPacking, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``argmin(np.abs(pts - centers))`` and its distance, a few thousand points at a time."""
@@ -169,6 +174,34 @@ class TestRefinedGrid:
         border[1:-1, 1:-1] = False
         assert np.array_equal(np.count_nonzero(full < packing.m, axis=1) == 0, border.ravel())
         assert np.array_equal(grid.owners[:-1] == -1, border.ravel()) and grid.owners[-1] == -1
+
+    def test_owner_table_answers_most_descent_lookups(self, monkeypatch):
+        # the golden point families at (t, K, m) = (1.9, 2, 217), where the
+        # disks almost touch, both sides to depth 32: the share of lookups
+        # that one owner-table read answers (cells of side r/4 answered
+        # 82.7% on the cylinders and 74.6% in all)
+        from test_golden import _case
+
+        p, families = _case(1.9, 217, 2.0)
+        counts = []
+        nearest = _CellGrid.nearest
+
+        def counting(grid, pts):
+            counts.append((pts.size, np.count_nonzero(grid.owners.take(grid.cells(pts)) >= 0)))
+            return nearest(grid, pts)
+
+        monkeypatch.setattr(_CellGrid, "nearest", counting)
+        totals = []
+        for points in families:
+            counts.clear()
+            for side in ("source", "image"):
+                _descend(points, p, side, 32)
+            totals.append(np.sum(counts, axis=0))
+        looked_up, owned = np.transpose(totals)
+        # (disk, cylinders, seams); the seams lie on circles about nearly
+        # touching disks
+        shares = owned / looked_up
+        assert shares[1] >= 0.9 and owned.sum() / looked_up.sum() >= 0.8, shares
 
     @pytest.mark.parametrize("m", [7, 100, 217, "darts"])
     def test_owner_is_nearest_on_the_closed_cell(self, m):

@@ -26,6 +26,7 @@ from cantorqc import (
 from cantorqc.nonremovable import (
     _BAND_ORDERS,
     _BAND_RATIOS,
+    _FRAME_SLACK,
     _PAIRS,
     LEAF,
     THETA,
@@ -198,6 +199,28 @@ class TestAtomQueries:
             zs = _seeded_points(mu, 32, 500, 200, 20)
             ref, _ = _kd_tree(mu).query(np.column_stack([zs.real, zs.imag]))
             assert np.array_equal(mu.nearest_atom_distance(zs), ref)
+
+    @pytest.mark.parametrize("corner", [0j, 1.0, 1j, 1.0 + 1j])
+    def test_near_grid_rows_reach_past_the_cell_edges(self, corner):
+        # The near grid's rows serve points up to _FRAME_SLACK outside a cell
+        # (its pad) and children up to _FRAME_SLACK off their place (its
+        # reach, twice that): the rounding of frame points and atoms.  In
+        # the cell [0, 1]**2, child 0 lies nearest to every point, and child
+        # 1 beyond ``corner``, just farther than a row without the pad reaches.
+        # Past the corner by 0.9 pad, with both children moved 0.9 slack
+        # toward it, child 1 is the nearest, and the cell's row must hold it.
+        mid = 0.5 + 0.5j
+        u = (corner - mid) / abs(corner - mid)
+        near = mid - 0.5 * (corner - mid)
+        far = corner + (abs(corner - near) + 3.35 * _FRAME_SLACK) * u
+        grid = ImageIFS(np.array([near, far]), 0.5, 1)._near_grid
+        assert grid.h == 1.0 and grid.x0 + grid.h == -2.0
+        row = grid.table[grid.cells(np.array([mid]))[0]]
+        children = row[row < 2]
+        z = corner + 0.9 * math.sqrt(2.0) * _FRAME_SLACK * u
+        moved = np.array([near, far]) - 0.9 * _FRAME_SLACK * u
+        assert np.argmin(np.abs(z - moved)) == 1
+        assert children[np.argmin(np.abs(z - moved[children]))] == 1
 
     @pytest.mark.parametrize("name", ["m7-N5", "small"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
