@@ -221,9 +221,14 @@ def _map_batch(
     level, x, d, idx, a, b, _ = _descend(zs, params, side, depth_max)
     _, affine, exponent = _side_table(params, side)
     unresolved = level == depth_max
-    ring = np.flatnonzero(~unresolved & (d < params.r))
-    c = params.packing.centers.take(idx.take(ring))
-    x[ring] = c + (d.take(ring) / params.r) ** exponent * (x.take(ring) - c)
+    centers, r = params.packing.centers, params.r
+    # block by block, as in the descent, so that no index array or
+    # temporary grows with the batch
+    for start in range(0, x.size, _BLOCK):
+        xb, db = x[start : start + _BLOCK], d[start : start + _BLOCK]
+        ring = np.flatnonzero(~unresolved[start : start + _BLOCK] & (db < r))
+        c = centers.take(idx[start : start + _BLOCK].take(ring))
+        xb[ring] = c + (db.take(ring) / r) ** exponent * (xb.take(ring) - c)
     x *= b
     x += a
     out = np.flatnonzero(unresolved)
