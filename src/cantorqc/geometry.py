@@ -426,16 +426,21 @@ class _CellGrid:
 
     def nearest(self, pts: np.ndarray) -> np.ndarray:
         """``argmin(np.abs(pts - centers))`` per point of the flat ``pts``."""
-        # an owned cell answers at once; any other leaves -2 - cell behind,
-        # and a border cell -1
+        # an owned cell answers at once; any other leaves -2 - cell behind
         idx = self.owners.take(self.cells(pts))
         rest = np.flatnonzero(idx < 0)
+        cell = -2 - idx.take(rest)
+        # a border cell (cell -1) lists no center: its points search every center
+        out = cell < 0
+        if out.any():
+            idx[rest[out]] = _brute_nearest(pts.take(rest[out]), self.padded[:-1])
+            rest, cell = rest[~out], cell[~out]
         width = self.table.shape[1]
         step = max(1, _CANDIDATE_PAIRS // width)
         for start in range(0, rest.size, step):
             at = rest[start : start + step]
-            p, cell = pts.take(at), -2 - idx.take(at)
-            cand = self.table.take(cell, axis=0)
+            p = pts.take(at)
+            cand = self.table.take(cell[start : start + step], axis=0)
             c = self.padded.take(cand)
             d2 = _sq_dist(p[:, None], c)
             best = np.argmin(d2, axis=1)
@@ -447,11 +452,6 @@ class _CellGrid:
                 best[tied] = np.argmin(np.abs(p[tied, None] - c[tied]), axis=1)
                 flat[tied] = best[tied] + tied * width
             idx[at] = cand.ravel().take(flat)
-            # a border cell read the last row, which lists no center: search
-            # every center instead
-            out = np.flatnonzero(cell < 0)
-            if out.size:
-                idx[at[out]] = _brute_nearest(p[out], self.padded[:-1])
         return idx
 
 
