@@ -110,12 +110,12 @@ class DiskPacking:
         Closed disks are disjoint, so the only disk that can contain a point
         is the one with the nearest center.  The index is exactly
         ``argmin(np.abs(pts - centers))`` (first index on ties), for every
-        ``m``.  The lookup grid has cells of side about ``r/8``: a point whose
-        cell has one owner takes it from a table read (in descents of
+        ``m``.  The lookup grid has cells of side about ``r/8``.  A point
+        whose cell has one owner takes it from a table read: in descents of
         unit-disk and deep-cylinder points, 98%, 97% and 91% of lookups at
-        m = 7, 100 and, with t = 1.9, 217), any other searches
-        its cell's candidate list, and a point outside the grid searches
-        every center (see :class:`_CellGrid`).  A non-finite point raises
+        m = 7, 100 and, with t = 1.9, 217.  Any other point searches its
+        cell's candidate list, and a point outside the grid searches every
+        center (see :class:`_CellGrid`).  A non-finite point raises
         :class:`ParameterError`.
         """
         pts = np.asarray(pts, dtype=np.complex128)
