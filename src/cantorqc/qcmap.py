@@ -162,12 +162,12 @@ def _descend_one(
 ) -> tuple[int, complex, float, int, complex, complex, bool]:
     """Scalar twin of :func:`_descend` in plain Python arithmetic.
 
-    A batch of one is several times slower per call, and NumPy's ``pow`` and
-    complex multiply round differently from Python's, so both twins stay.
-    They agree at level 0, where both take the input as the frame.  Below
-    it this twin divides by the ratio and the batch multiplies by its
-    inverse, so the frames may differ in the last bit, or by more deep in a
-    tiny cylinder, and a point near a branch may end at another level.
+    A batch of one is several times slower per call, so both twins stay,
+    and they return the same bits.  This twin sets each frame by
+    multiplying by ``1/ratio``, as the batch does.  Its callers raise a
+    ring radius to its exponent through NumPy's array ``pow`` on a
+    one-element array, since Python's ``**`` and NumPy's scalar ``**``
+    round differently from the array ``pow`` of the batch.
 
     Each level's distance is Python's ``abs``, within 2 ulp of the batch's
     ``np.abs`` and ten times cheaper on a scalar.  Where that gap could turn
@@ -187,7 +187,7 @@ def _descend_one(
     exact_from = ratio - 2.0 * tol_in
     nearest, points = params.packing._nearest_one, params.packing._grid.points
     a, b = 0j, 1 + 0j
-    seam = False
+    seam, inv = False, 1.0 / ratio
     for level in range(depth_max):
         i = nearest(x)
         c = points[i]
@@ -199,7 +199,7 @@ def _descend_one(
             return level, x, d, i, a, b, seam
         a += b * c
         b *= affine
-        x = (x - c) / ratio
+        x = (x - c) * inv
     return depth_max, x, 0.0, 0, a, b, seam
 
 
@@ -210,7 +210,7 @@ def _map_one(z: complex, params: ConstructionParams, side: str, depth_max: int) 
         return MapResult(a, depth_max, 2.0 * affine**depth_max)
     if d < params.r:
         c = params.packing._grid.points[i]
-        x = c + (d / params.r) ** exponent * (x - c)
+        x = c + float(np.power(np.array([d / params.r]), exponent)[0]) * (x - c)
     return MapResult(a + b * x, level, 0.0)
 
 
@@ -271,7 +271,7 @@ def jacobian(z: complex, params: ConstructionParams, depth_max: int = 32) -> flo
         acc *= level_factor
     if d > params.r:
         return acc
-    return acc * (1.0 / K) * (d / params.r) ** (2.0 * (1.0 / K - 1.0))
+    return acc * (1.0 / K) * float(np.power(np.array([d / params.r]), 2.0 * (1.0 / K - 1.0))[0])
 
 
 # ---------------------------------------------------------------------------

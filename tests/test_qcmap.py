@@ -195,7 +195,7 @@ SIGNED_ZERO_DIGESTS = {
 
 class TestBatchKernels:
     """Each point gets the same bits in any batch, which the kernels walk in
-    blocks of 65,536 points."""
+    blocks of 65,536 points, and from its scalar twin."""
 
     N = 2 * 65536 + 123
 
@@ -259,6 +259,25 @@ class TestBatchKernels:
                 assert x is idx is a is b is None
                 for got, want in ((level, want_level), (d, want_d), (seam, want_seam)):
                     assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (side, depth_max)
+
+    @pytest.mark.parametrize(
+        "scalar, batch", zip(SCALAR_ENTRIES, BATCH_ENTRIES), ids=lambda f: f.__name__
+    )
+    def test_scalar_entry_points_return_the_batch_bits(self, scalar, batch):
+        # every golden point at all 18 configurations: value, depth and
+        # err_bound, and a None Jacobian where the batch gives NaN
+        for p, families, depth_max in _configs():
+            zs = np.concatenate(families)
+            want = batch(zs, p, depth_max)
+            got = [scalar(z, p, depth_max) for z in zs.tolist()]
+            if batch is jacobian_batch:
+                want, got = (want,), ([math.nan if j is None else j for j in got],)
+            else:
+                got = zip(*((res.value, res.depth, res.err_bound) for res in got))
+            for g, w in zip(got, want):
+                g = np.array(g, dtype=w.dtype)
+                differ = np.flatnonzero((g.view(np.uint8) != w.view(np.uint8)).reshape(g.size, -1).any(axis=1))
+                assert differ.size == 0, (depth_max, zs[differ[:3]])
 
     def test_blocking_bounds_memory(self, params100):
         # the per-point outputs take about 23 MB; temporaries of the whole
