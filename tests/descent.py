@@ -1,4 +1,7 @@
-"""Both descent kernels at one point, for assertions that must hold on each."""
+"""Both descent kernels at one point, for assertions that must hold on each.
+
+The scalar kernel returns the batch kernel's bits: it sets each frame by
+multiplying by ``1/ratio``, as the batch does."""
 
 import numpy as np
 
@@ -13,19 +16,11 @@ def descents(z, params, depth_max=1, side="source"):
 
 
 def assert_twins_agree(zs, params, depth_max=1, side="source"):
-    """At each point of ``zs`` the scalar kernel ends where one batch call does:
-    the same level, index and seam flag.  Its distance has the bits of
-    ``np.abs`` at its own frame point, so the batch's bits where the two
-    frames agree, as they do at level 0.  Below level 0 the frames may differ
-    in the last bit: the scalar kernel divides by the ratio, the batch
-    multiplies by its inverse."""
+    """At each point of ``zs`` the scalar kernel returns the bits of one batch
+    call: level, frame point, distance, index, affine pair and seam flag.
+    ``repr`` rounds trip exactly and tells signed zeros apart."""
     zs = np.asarray(zs, dtype=np.complex128).ravel()
-    level, x, d, idx, _, _, seam = (v.tolist() for v in _descend(zs, params, side, depth_max))
-    points = params.packing._grid.points
+    level, x, d, idx, a, b, seam = (v.tolist() for v in _descend(zs, params, side, depth_max))
     for k, z in enumerate(zs.tolist()):
-        lv, xo, do, io, _, _, so = _descend_one(z, params, side, depth_max)
-        assert (lv, io, so) == (level[k], idx[k], seam[k]), z
-        if lv < depth_max:
-            assert do == float(np.abs(np.complex128(xo - points[io]))), z
-        if xo == x[k]:
-            assert do == d[k], z
+        batch = (level[k], x[k], d[k], idx[k], a[k], complex(b[k]), seam[k])
+        assert repr(_descend_one(z, params, side, depth_max)) == repr(batch), z

@@ -371,22 +371,9 @@ class TestSeamUlps:
             chains = 3 if level else 0
             digits = np.vstack([np.zeros((1, level), int), rng.integers(0, m, (chains, level))])
             a, s = _chain(centers, digits, ratio)
-            turns = np.exp(2j * math.pi * rng.uniform(size=(radii.size, 4**level)))
-            u = centers[rng.integers(0, m, (radii.size, 1))] + radii[:, None] * turns
-            z = (a[:, None] + s * u.ravel()).ravel()
-            if level:
-                # below level 0 the kernels' frames may differ in the last bit:
-                # the scalar one divides each part by the ratio, the batch one
-                # multiplies by its inverse.  Only points whose level-``level``
-                # frames agree are kept, fewer the deeper the level (hence the
-                # 4**level turns)
-                lv, x, *_ = _descend(z, p, side, level)
-                fr, fi = z.real, z.imag
-                for c in centers[np.repeat(digits, u.size, axis=0)].T:
-                    fr, fi = (fr - c.real) / ratio, (fi - c.imag) / ratio
-                kept = np.flatnonzero((x.real == fr) & (x.imag == fi) & (lv == level))
-                assert kept.size >= 40
-                z = z[kept[:256]]
+            turns = np.exp(2j * math.pi * rng.uniform(size=radii.size))
+            u = centers[rng.integers(0, m, radii.size)] + radii * turns
+            z = (a[:, None] + s * u).ravel()
             assert_twins_agree(z, p, level + 1, side)
             flagged += int(_descend(z, p, side, level + 1)[-1].sum())
         # most points lie in a seam band, where the scalar kernel reads np.abs
