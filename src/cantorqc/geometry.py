@@ -382,10 +382,16 @@ class _CellGrid:
         """Whether each cell is a border cell, or -1: its points lie outside the box."""
         return self.owners.take(cells) == -1
 
+    @cached_property
+    def _clear(self) -> dict[float, np.ndarray]:
+        """:meth:`clear_cells` per radius."""
+        return {}
+
     def clear_cells(self, radius: float) -> np.ndarray:
         """Per cell, whether every point of it lies farther than ``radius``
         from every center, then a last entry False, which cell -1 reads;
-        border cells are never clear.
+        border cells are never clear.  The array is kept per radius and is
+        read-only.
 
         A cell is clear when each center of its row is farther than
         ``radius*(1 + _GRID_SLACK)`` from the cell widened as :func:`_rows`
@@ -393,6 +399,8 @@ class _CellGrid:
         farther still.  The slack is far above the rounding of a distance, so
         a point of a clear cell has ``np.abs(z - c) >= radius`` for every c.
         """
+        if radius in self._clear:
+            return self._clear[radius]
         x, y = self.padded.real, self.padded.imag
         half = self.h / 2.0 + _GRID_SLACK * self.h
         bound = (radius * (1.0 + _GRID_SLACK)) ** 2
@@ -408,6 +416,8 @@ class _CellGrid:
             np.maximum(ay, 0.0, out=ay)
             clear[start : start + row.shape[0]] = (ax * ax + ay * ay).min(axis=1) > bound
         clear &= self.owners != -1
+        clear.flags.writeable = False
+        self._clear[radius] = clear
         return clear
 
     def candidates(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

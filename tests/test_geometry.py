@@ -247,6 +247,8 @@ class TestRefinedGrid:
         for radius in (_params(packing).sigma * packing.r, packing.r, 2.0 * packing.r):
             clear = grid.clear_cells(radius)
             assert clear.shape == (grid.nx * grid.ny + 1,) and not clear[-1]
+            # kept per radius, so no caller may write to it
+            assert grid.clear_cells(radius) is clear and not clear.flags.writeable
             assert 0 < np.count_nonzero(clear) < grid.nx * grid.ny
             parts = []
             for dx, dy in product((0.0, 1.0), repeat=2):
