@@ -306,7 +306,10 @@ def _parse_hosts(text: str) -> list[tuple[complex, float]]:
 
 def cmd_glue(args: argparse.Namespace) -> None:
     hosts = _parse_hosts(args.hosts)
-    piece_ms = [int(x) for x in args.piece_m.split(",")]
+    try:
+        piece_ms = [int(x) for x in args.piece_m.split(",")]
+    except ValueError as exc:
+        raise CliError(f"--piece-m {args.piece_m!r} has a non-integer entry") from exc
     if len(piece_ms) != len(hosts):
         raise ParameterError(
             f"got {len(hosts)} hosts but {len(piece_ms)} piece sizes; counts must match"
@@ -324,7 +327,7 @@ def cmd_glue(args: argparse.Namespace) -> None:
         return
 
     def rows(pts):
-        # per-point scalar map, as a batch would change the last bits
+        # per-point scalar map: glued_map has no batch form
         values, depths, errs = [], [], []
         for z in pts:
             res = qcmap.glued_map(complex(z), spec, depth_max=args.depth)
