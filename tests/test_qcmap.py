@@ -128,16 +128,6 @@ class TestPhi:
         tol = shallow.err_bound + 1e-12
         assert abs(deep.value - shallow.value) <= tol
 
-    def test_scalar_matches_batch(self, params7):
-        rng = RNG(9)
-        z = rng.uniform(-1.1, 1.1, 64) + 1j * rng.uniform(-1.1, 1.1, 64)
-        vals, depths, errs = phi_batch(z, params7, 24)
-        for k in range(z.size):
-            res = phi(complex(z[k]), params7, 24)
-            # scalar and vector paths may differ by an ulp in the pow call
-            assert abs(res.value - vals[k]) < 1e-13
-            assert res.depth == depths[k] and res.err_bound == errs[k]
-
 
 SCALAR_ENTRIES = (phi, phi_inverse, jacobian)
 BATCH_ENTRIES = (phi_batch, phi_inverse_batch, jacobian_batch)
@@ -448,17 +438,6 @@ class TestJacobian:
 
     def test_depth_exhaustion_returns_none(self, params7):
         assert jacobian(0j, params7, depth_max=5) is None
-
-    def test_batch_matches_scalar(self, params7):
-        rng = RNG(8)
-        z = rng.uniform(-1.1, 1.1, 200) + 1j * rng.uniform(-1.1, 1.1, 200)
-        batch = jacobian_batch(z, params7, 16)
-        for k in range(z.size):
-            val = jacobian(complex(z[k]), params7, 16)
-            if val is None:
-                assert math.isnan(batch[k])
-            else:
-                assert batch[k] == pytest.approx(val, rel=1e-13)
 
     def test_finite_difference_match(self, params100):
         p = params100
