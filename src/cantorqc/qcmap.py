@@ -164,8 +164,8 @@ def _descend_one(
 
     A batch of one is several times slower per call, so both twins stay,
     and they return the same bits.  This twin sets each frame by
-    multiplying by ``1/ratio``, as the batch does.  Its callers raise a
-    ring radius to its exponent through NumPy's array ``pow`` on a
+    multiplying by ``1/ratio``, as the batch does.  Its callers raise the
+    ring ratio ``d/r`` to its power through NumPy's array ``pow`` on a
     one-element array, since Python's ``**`` and NumPy's scalar ``**``
     round differently from the array ``pow`` of the batch.
 

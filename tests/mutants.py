@@ -89,6 +89,12 @@ MUTANTS = [
     ("scalar descent keeps Python's distance at the exit level", "qcmap.py",
      "if d >= exact_from:",
      "if exact_from <= d < ratio:"),
+    ("scalar descent divides the frame by the ratio", "qcmap.py",
+     "x = (x - c) * inv",
+     "x = (x - c) / ratio"),
+    ("scalar ring stretch by Python's pow", "qcmap.py",
+     "float(np.power(np.array([d / params.r]), exponent)[0])",
+     "(d / params.r) ** exponent"),
     ("batch descent tests seams only from d >= ratio", "qcmap.py",
      "near = np.flatnonzero(d >= near_from)",
      "near = np.flatnonzero(d >= ratio)"),
