@@ -210,7 +210,7 @@ def _map_one(z: complex, params: ConstructionParams, side: str, depth_max: int) 
         return MapResult(a, depth_max, 2.0 * affine**depth_max)
     if d < params.r:
         c = params.packing._grid.points[i]
-        x = c + float(np.power(np.array([d / params.r]), exponent)[0]) * (x - c)
+        x = c + np.power(np.array([d / params.r]), exponent).item() * (x - c)
     return MapResult(a + b * x, level, 0.0)
 
 
@@ -271,7 +271,7 @@ def jacobian(z: complex, params: ConstructionParams, depth_max: int = 32) -> flo
         acc *= level_factor
     if d > params.r:
         return acc
-    return acc * (1.0 / K) * float(np.power(np.array([d / params.r]), 2.0 * (1.0 / K - 1.0))[0])
+    return acc * (1.0 / K) * np.power(np.array([d / params.r]), 2.0 * (1.0 / K - 1.0)).item()
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ MUTANTS = [
      "x = (x - c) * inv",
      "x = (x - c) / ratio"),
     ("scalar ring stretch by Python's pow", "qcmap.py",
-     "float(np.power(np.array([d / params.r]), exponent)[0])",
+     "np.power(np.array([d / params.r]), exponent).item()",
      "(d / params.r) ** exponent"),
     ("batch descent tests seams only from d >= ratio", "qcmap.py",
      "near = np.flatnonzero(d >= near_from)",
