@@ -233,8 +233,8 @@ def test_glue_rejects_non_finite_point_off_hosts(tmp_path):
 @pytest.mark.parametrize("piece_m", ["x", "7,1.5"])
 def test_glue_rejects_non_integer_piece_m(piece_m, capsys):
     # int() alone would leave a bare ValueError, exit 1 with a traceback
-    argv = ["glue", "--t", "1", "--K", "2", "--hosts=-0.45,0.0,0.1;0.4,0.2,0.045", "--piece-m", piece_m]
-    assert cli.main(argv) == 3
+    hosts = "--hosts=-0.45,0.0,0.1;0.4,0.2,0.045"
+    assert cli.main(["glue", "--t", "1", "--K", "2", hosts, "--piece-m", piece_m]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: --piece-m {piece_m!r} has a non-integer entry\n"
 

@@ -266,8 +266,8 @@ class TestBatchKernels:
                 got = zip(*((res.value, res.depth, res.err_bound) for res in got))
             for g, w in zip(got, want):
                 g = np.array(g, dtype=w.dtype)
-                differ = np.flatnonzero((g.view(np.uint8) != w.view(np.uint8)).reshape(g.size, -1).any(axis=1))
-                assert differ.size == 0, (depth_max, zs[differ[:3]])
+                differ = (g.view(np.uint8) != w.view(np.uint8)).reshape(g.size, -1).any(axis=1)
+                assert not differ.any(), (depth_max, zs[differ][:3])
 
     def test_blocking_bounds_memory(self, params100):
         # the per-point outputs take about 23 MB; temporaries of the whole
