@@ -1,16 +1,17 @@
-"""Golden outputs of the batch map entry points, pinned bit for bit.
+"""Golden outputs of the map entry points, pinned bit for bit.
 
 Seeded unit-disk points, points of random source and image cylinders of
 radius about 1e-12, and points on the seam circles of the first three
-generations go through the three batch entry points at m in {7, 19, 217},
-K in {1, 2} and depth_max in {1, 5, 32}.  Each test pins the SHA-256 of
-one entry point's outputs over all 18 configurations, so a rewrite of the
-descent must reproduce every bit.  The criterion-12 CLI digests cannot
-stand in for this: they cover only three shallow points.  The scalar entry
-points need no digest of their own: ``test_qcmap.py`` checks that each
-returns its batch twin's bits on every one of these points.  They can,
-because the scalar ring stretch uses NumPy's array pow on a one-element
-array, which rounds as the batch's does where Python's ``**`` does not.
+generations go through the three batch entry points and, on a subsample,
+the three scalar ones, at m in {7, 19, 217}, K in {1, 2} and depth_max in
+{1, 5, 32}.  Each test pins the SHA-256 of one entry point's outputs over
+all 18 configurations, so a rewrite of the descent must reproduce every
+bit.  The criterion-12 CLI digests cannot stand in for this: they cover
+only three shallow points.  ``test_qcmap.py`` also checks that each scalar
+entry point returns its batch twin's bits on every one of these points.
+They can, because the scalar ring stretch uses NumPy's array pow on a
+one-element array, which rounds as the batch's does where Python's ``**``
+does not.
 
 The digests were captured with NumPy 2.4.6 on x86-64.  NumPy's vectorized
 pow and complex multiply may round differently under another version or
@@ -25,18 +26,28 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cantorqc import build_packing, derive_params, jacobian_batch, phi_batch, phi_inverse_batch
+from cantorqc import (
+    build_packing,
+    derive_params,
+    jacobian,
+    jacobian_batch,
+    phi,
+    phi_batch,
+    phi_inverse,
+    phi_inverse_batch,
+)
 
 #: (t, m) per layout; t = 1.9 at m = 217 leaves a thin annulus (sigma near 1).
 LAYOUTS = ((1.0, 7), (1.0, 19), (1.9, 217))
 KS = (1.0, 2.0)
 DEPTHS = (1, 5, 32)
-N_DISK, N_CYL, N_SEAM = 1500, 500, 1000
+N_DISK, N_CYL, N_SEAM, N_SCALAR = 1500, 500, 1000, 64
 
 DIGESTS = {
     "phi_batch": "ad557ba23bffa896a1b08592775906adfcc725803e03ff2cf2c87ae64693cdf1",
     "phi_inverse_batch": "4a605f9476debec5ff58e03cbd02b96e74595e7429dca512d3ff2eb018aba695",
     "jacobian_batch": "084ca335568cf68963757f8d6ba5e1dc97fda0304bac6f5a5640b48de5f84482",
+    "scalar": "bccbf24d556097c6614793c6f4edd51a1e5681f547ca4d2dc394ce2fe391a1e9",
 }
 
 
@@ -100,8 +111,16 @@ def _digest(name):
             _update(h, *phi_batch(zs, p, depth_max))
         elif name == "phi_inverse_batch":
             _update(h, *phi_inverse_batch(zs, p, depth_max))
-        else:
+        elif name == "jacobian_batch":
             _update(h, jacobian_batch(zs, p, depth_max))
+        else:
+            pts = [complex(z) for fam in families for z in fam[:: fam.size // N_SCALAR]]
+            results = (
+                [phi(z, p, depth_max) for z in pts],
+                [phi_inverse(z, p, depth_max) for z in pts],
+                [jacobian(z, p, depth_max) for z in pts],
+            )
+            h.update(repr(results).encode())
     return h.hexdigest()
 
 

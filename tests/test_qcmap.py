@@ -128,6 +128,14 @@ class TestPhi:
         tol = shallow.err_bound + 1e-12
         assert abs(deep.value - shallow.value) <= tol
 
+    def test_scalar_matches_batch(self, params7):
+        rng = RNG(9)
+        z = rng.uniform(-1.1, 1.1, 64) + 1j * rng.uniform(-1.1, 1.1, 64)
+        vals, depths, errs = phi_batch(z, params7, 24)
+        for k in range(z.size):
+            res = phi(complex(z[k]), params7, 24)
+            assert (res.value, res.depth, res.err_bound) == (vals[k], depths[k], errs[k])
+
 
 SCALAR_ENTRIES = (phi, phi_inverse, jacobian)
 BATCH_ENTRIES = (phi_batch, phi_inverse_batch, jacobian_batch)
