@@ -290,6 +290,21 @@ class TestBatchKernels:
             tracemalloc.stop()
         assert peak < 40e6
 
+    @pytest.mark.parametrize("entry", [phi_batch, phi_inverse_batch], ids=lambda f: f.__name__)
+    def test_map_descent_peak_memory(self, params100, entry):
+        # both maps peaked at 29.33 MB traced here (NumPy 2.4), most of it
+        # per-point outputs; a block temporary kept alive across a level
+        # of the descent, or one of the batch's size, shows above 5% more
+        z = _disk(RNG(4), 400_000)
+        entry(z[:8], params100)
+        tracemalloc.start()
+        try:
+            entry(z, params100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * 29.33e6, peak
+
 
 class TestLiteralOracle:
     def test_recursive_matches_stage_composition(self, params7):
