@@ -140,7 +140,7 @@ class DiskPacking:
         if not (1.0 <= fx < grid.nx - 1 and 1.0 <= fy < grid.ny - 1):
             return int(grid.nearest(np.array([z], dtype=np.complex128))[0])
         cell = int(fx) * grid.ny + int(fy)
-        j = grid.owners.item(cell)
+        j = grid.owner_view[cell]
         if j >= 0:
             return j
         points, best, near = grid.points, math.inf, []
@@ -363,10 +363,33 @@ class _CellGrid:
         """``padded`` as Python numbers, for the scalar lookup."""
         return self.padded.tolist()
 
-    def cells(self, pts: np.ndarray) -> np.ndarray:
+    @cached_property
+    def owner_view(self) -> memoryview:
+        """``owners`` for the scalar lookup: a read returns a Python int in
+        about half the time of ``owners.item``, and a list would cost RSS."""
+        return memoryview(self.owners)
+
+    def cells(self, pts: np.ndarray, inside: bool = False) -> np.ndarray:
         """Cell of each point of the flat ``pts``; a point outside the box
-        takes the nearest border cell."""
+        takes the nearest border cell.
+
+        ``inside=True`` promises that every point lies in the closed unit
+        disk, up to a few ulp, as the descent's frame points below level 0
+        do.  Such a point lies at least a cell inside the border ring's
+        outer edges, so its scaled offsets are nonnegative and below
+        ``nx`` and ``ny``: truncation by ``astype`` equals the clipped
+        floor, and the clip and floor passes are skipped.
+        """
         inv = 1.0 / self.h
+        if inside:
+            f = pts.real - self.x0
+            f *= inv
+            cell = f.astype(np.intp)
+            cell *= self.ny
+            np.subtract(pts.imag, self.y0, out=f)
+            f *= inv
+            cell += f.astype(np.intp)
+            return cell
         fx = pts.real - self.x0
         fx *= inv
         np.clip(fx, 0.0, self.nx - 1, out=fx)
@@ -434,11 +457,18 @@ class _CellGrid:
             np.concatenate([rows[real], np.tile(np.arange(m), rest.size)]),
         )
 
-    def nearest(self, pts: np.ndarray) -> np.ndarray:
-        """``argmin(np.abs(pts - centers))`` per point of the flat ``pts``."""
+    def nearest(self, pts: np.ndarray, inside: bool = False) -> np.ndarray:
+        """``argmin(np.abs(pts - centers))`` per point of the flat ``pts``.
+
+        ``inside`` is passed to :meth:`cells`; only the descent sets it, and
+        only below level 0.  When every point's cell has an owner, as at
+        most levels of a descent, the table read is the whole answer.
+        """
         # an owned cell answers at once; any other leaves -2 - cell behind
-        idx = self.owners.take(self.cells(pts))
+        idx = self.owners.take(self.cells(pts, inside))
         rest = np.flatnonzero(idx < 0)
+        if rest.size == 0:
+            return idx
         cell = -2 - idx.take(rest)
         # a border cell (cell -1) lists no center: its points search every center
         out = cell < 0

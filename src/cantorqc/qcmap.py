@@ -100,6 +100,16 @@ def _descend(
     leaves, and a leaving point's outputs are written once, at that level.
     Only points with ``d >= ratio - 2*tol_in`` can leave or lie in a seam
     band (the outer one too, as ``r > ratio``), so only they are tested.
+
+    Below level 0 a frame point is ``diff * (1/ratio)`` with
+    ``np.abs(diff) < ratio``, so it lies in the closed unit disk up to 3
+    ulp, and its lookup takes the clip-free cell index
+    (``_CellGrid.nearest(..., inside=True)``); level 0 looks up the
+    caller's points, which may lie anywhere, through the clipped one.  A
+    level gathers its centres once.  Where no point reaches the tests, the
+    gather serves both the frame difference and the offset update;
+    otherwise it is dropped before them, so that it adds nothing to their
+    temporaries, and gathered again for the points kept.
     """
     # the grid first, so that its tables lie below the batch's arrays on the heap
     grid, centers = params.packing._grid, params.packing.centers
@@ -125,11 +135,16 @@ def _descend(
         for lv in range(depth_max):
             if lv + 1 == len(scales):
                 scales.append(scales[-1] * affine)
-            i = grid.nearest(xf)
-            diff = xf - centers.take(i)
+            # below level 0 every frame point lies in the closed unit disk
+            i = grid.nearest(xf, inside=lv > 0)
+            c = centers.take(i)
+            diff = xf - c
+            if not frames:
+                c = None
             d = np.abs(diff)
             near = np.flatnonzero(d >= near_from)
             if near.size:
+                c = None
                 dn = d.take(near)
                 seam[at.take(near[(np.abs(dn - r) <= tol_r) | (np.abs(dn - ratio) <= tol_in)])] = True
                 final = near[dn >= ratio]
@@ -147,7 +162,9 @@ def _descend(
                     if at.size == 0:
                         break
             if frames:
-                af += scales[lv] * centers.take(i)
+                if c is None:
+                    c = centers.take(i)
+                af += scales[lv] * c
             diff *= inv
             xf = diff
         else:
@@ -173,9 +190,20 @@ def _descend_one(
     ``np.abs`` and ten times cheaper on a scalar.  Where that gap could turn
     a branch or a seam flag, at ``d >= ratio - 2*tol_in`` (the exit level,
     the inner seam band and, as ``r > ratio``, the outer one), the level
-    takes NumPy's value instead.  The widening is 1e-12 relative, far more
-    than 2 ulp, so every branch, seam flag, index and returned distance has
-    the bits it would have with NumPy's value at every level.
+    takes NumPy's value instead, and only there are the exit and the seam
+    bands tested, as in the batch: below it, NumPy's value lies below both
+    bands, since ``r - tol_r > ratio - 2*tol_in`` for every sigma in (0, 1).
+    The widening is 1e-12 relative, far more than 2 ulp, so every branch,
+    seam flag, index and returned distance has the bits it would have with
+    NumPy's value at every level.
+
+    Each level reads the owner table inline, through
+    ``_CellGrid.owner_view``, with :meth:`DiskPacking._nearest_one`'s cell
+    formula and its guard on the border ring's inner edge; a point off the
+    ring or in a shared cell goes to ``_nearest_one`` itself.  The read
+    must be that function's first step exactly, so that the index stays
+    the one its tests check against brute force: beyond the ring the cell
+    formula would wrap round the table or run past it.
     """
     ratio, affine, _ = _side_table(params, side)
     _check_depth(depth_max, affine)
@@ -185,21 +213,31 @@ def _descend_one(
     r = params.r
     tol_r, tol_in = SEAM_RTOL * r, SEAM_RTOL * ratio
     exact_from = ratio - 2.0 * tol_in
-    nearest, points = params.packing._nearest_one, params.packing._grid.points
+    grid = params.packing._grid
+    x0, y0, h, ny, owners = grid.x0, grid.y0, grid.h, grid.ny, grid.owner_view
+    fx_end, fy_end = grid.nx - 1, ny - 1
+    nearest, points = params.packing._nearest_one, grid.points
     a, b = 0j, 1 + 0j
     seam, inv = False, 1.0 / ratio
     for level in range(depth_max):
-        i = nearest(x)
+        # DiskPacking._nearest_one's owner read, inline: the same cell and ring
+        i = -1
+        fx, fy = (x.real - x0) / h, (x.imag - y0) / h
+        if 1.0 <= fx < fx_end and 1.0 <= fy < fy_end:
+            i = owners[int(fx) * ny + int(fy)]
+        if i < 0:
+            i = nearest(x)
         c = points[i]
-        d = abs(x - c)
+        diff = x - c
+        d = abs(diff)
         if d >= exact_from:
-            d = float(np.abs(np.complex128(x - c)))
-        seam = seam or abs(d - r) <= tol_r or abs(d - ratio) <= tol_in
-        if d >= ratio:
-            return level, x, d, i, a, b, seam
+            d = float(np.abs(np.complex128(diff)))
+            seam = seam or abs(d - r) <= tol_r or abs(d - ratio) <= tol_in
+            if d >= ratio:
+                return level, x, d, i, a, b, seam
         a += b * c
         b *= affine
-        x = (x - c) * inv
+        x = diff * inv
     return depth_max, x, 0.0, 0, a, b, seam
 
 

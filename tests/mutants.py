@@ -87,14 +87,20 @@ MUTANTS = [
      "x[done], a[done] = xf[final], af[final]",
      "a[done] = af[final]"),
     ("scalar descent keeps Python's distance at the exit level", "qcmap.py",
-     "if d >= exact_from:",
-     "if exact_from <= d < ratio:"),
+     "d = float(np.abs(np.complex128(diff)))",
+     "d = float(np.abs(np.complex128(diff))) if d < ratio else d"),
     ("scalar descent divides the frame by the ratio", "qcmap.py",
-     "x = (x - c) * inv",
-     "x = (x - c) / ratio"),
+     "x = diff * inv",
+     "x = diff / ratio"),
     ("scalar ring stretch by Python's pow", "qcmap.py",
      "np.power(np.array([d / params.r]), exponent).item()",
      "(d / params.r) ** exponent"),
+    ("level-0 lookup takes the clip-free index", "qcmap.py",
+     "i = grid.nearest(xf, inside=lv > 0)",
+     "i = grid.nearest(xf, inside=True)"),
+    ("scalar owner read without the ring guard", "qcmap.py",
+     "if 1.0 <= fx < fx_end and 1.0 <= fy < fy_end:",
+     "if True:"),
     ("batch descent tests seams only from d >= ratio", "qcmap.py",
      "near = np.flatnonzero(d >= near_from)",
      "near = np.flatnonzero(d >= ratio)"),

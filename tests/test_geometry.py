@@ -186,9 +186,10 @@ class TestRefinedGrid:
         counts = []
         nearest = _CellGrid.nearest
 
-        def counting(grid, pts):
-            counts.append((pts.size, np.count_nonzero(grid.owners.take(grid.cells(pts)) >= 0)))
-            return nearest(grid, pts)
+        def counting(grid, pts, inside=False):
+            owned = grid.owners.take(grid.cells(pts, inside))
+            counts.append((pts.size, np.count_nonzero(owned >= 0)))
+            return nearest(grid, pts, inside)
 
         monkeypatch.setattr(_CellGrid, "nearest", counting)
         totals = []
@@ -202,6 +203,54 @@ class TestRefinedGrid:
         # touching disks
         shares = owned / looked_up
         assert shares[1] >= 0.9 and owned.sum() / looked_up.sum() >= 0.8, shares
+
+    @pytest.mark.parametrize("m", [1, 7, 100, 217, "darts"])
+    def test_clip_free_cells_on_the_closed_disk(self, m):
+        # the unit circle at -4..+4 ulp of radius 1, the axes with both
+        # signed zeros (so also +-1 and +-1j), and seeded interior points
+        packing = _dart_packing() if m == "darts" else build_packing(m)
+        grid = packing._grid
+        rng = np.random.default_rng(7)
+        down, up = [1.0], [1.0]
+        for _ in range(4):
+            down.append(np.nextafter(down[-1], -np.inf))
+            up.append(np.nextafter(up[-1], np.inf))
+        radii = np.array(down[::-1] + up[1:])
+        turns = np.exp(2j * math.pi * rng.uniform(size=500))
+        circle = (radii[:, None] * turns[None, :]).ravel()
+        re, im = [], []
+        for rad in radii:
+            for x, y in product((rad, -rad), (0.0, -0.0)):
+                re += [x, y]
+                im += [y, x]
+        axes = np.empty(len(re), dtype=np.complex128)
+        axes.real, axes.imag = re, im
+        interior = np.sqrt(rng.uniform(size=5000)) * np.exp(2j * math.pi * rng.uniform(size=5000))
+        pts = np.concatenate([circle, axes, interior])
+        assert np.abs(pts).max() > 1.0 and np.signbit(axes.real).any()
+        assert np.array_equal(grid.cells(pts, inside=True), grid.cells(pts))
+
+    def test_descent_takes_the_clip_free_index_on_disk_points_only(self, monkeypatch):
+        # every point that the descents of the golden families, at all 18
+        # configurations, look up with inside=True lies in the closed unit
+        # disk up to 4 ulp
+        from test_golden import _configs
+
+        seen = []
+        nearest = _CellGrid.nearest
+
+        def checking(grid, pts, inside=False):
+            if inside:
+                seen.append(pts.size)
+                assert np.abs(pts).max(initial=0.0) <= 1.0 + 4.0 * 2.0**-53
+            return nearest(grid, pts, inside)
+
+        monkeypatch.setattr(_CellGrid, "nearest", checking)
+        for p, families, depth_max in _configs():
+            zs = np.concatenate(families)
+            for side in ("source", "image"):
+                _descend(zs, p, side, depth_max)
+        assert sum(seen) > 0
 
     @pytest.mark.parametrize("m", [7, 100, 217, "darts"])
     def test_owner_is_nearest_on_the_closed_cell(self, m):
