@@ -144,6 +144,7 @@ def _descend(
             d = np.abs(diff)
             near = np.flatnonzero(d >= near_from)
             if near.size:
+                # the tests' temporaries come first; the kept points gather again
                 c = None
                 dn = d.take(near)
                 seam[at.take(near[(np.abs(dn - r) <= tol_r) | (np.abs(dn - ratio) <= tol_in)])] = True
