@@ -669,17 +669,74 @@ class TestLpMassMonteCarlo:
         assert a.estimate == b.estimate and a.stderr == b.stderr
 
 
+def glued_oracle(z, spec, depth_max=32):
+    """The glued map at one point by its definition, in plain Python:
+    ``(value, depth, err_bound)`` of ``c + R*phi((z - c)/R)`` on the first
+    host ``D(c, R)`` holding ``z``, of the identity off every host."""
+    for piece in spec.pieces:
+        c, R = piece.host.center, piece.host.radius
+        if abs(z - c) < R:
+            res = phi(complex((z - c) / R), piece.params, depth_max)
+            return c + R * res.value, res.depth, R * res.err_bound
+    return z, 0, 0.0
+
+
+def _glued_spec(*hosts):
+    """Pieces at m = 7 and m = 19 on the hosts ``(center, radius)``, t = 1, K = 2."""
+    return make_glued_spec(
+        [
+            GluedPiece(Disk(c, R), derive_params(1.0, 2.0, build_packing(m)))
+            for (c, R), m in zip(hosts, (7, 19))
+        ]
+    )
+
+
 class TestGluedMap:
     def _two_piece_spec(self):
-        t, K = 1.0, 2.0
-        p7 = derive_params(t, K, build_packing(7))
-        p19 = derive_params(t, K, build_packing(19))
-        return make_glued_spec(
-            [
-                GluedPiece(Disk(-0.45 + 0j, 0.1), p7),
-                GluedPiece(Disk(0.4 + 0.2j, 0.045), p19),
-            ]
-        )
+        # criterion 12's hosts
+        return _glued_spec((-0.45 + 0j, 0.1), (0.4 + 0.2j, 0.045))
+
+    def _assert_matches_oracle(self, zs, spec, depth_max=32):
+        # repr tells signed zeros apart and round-trips every bit
+        for z in np.asarray(zs, dtype=np.complex128).ravel().tolist():
+            res = glued_map(z, spec, depth_max)
+            assert repr((res.value, res.depth, res.err_bound)) == repr(
+                glued_oracle(z, spec, depth_max)
+            ), z
+
+    def test_matches_the_oracle_on_and_off_the_hosts(self):
+        spec = self._two_piece_spec()
+        rng = RNG(26)
+        for piece in spec.pieces:
+            c, R = piece.host.center, piece.host.radius
+            u = np.sqrt(rng.uniform(0.0, 1.0, 400)) * np.exp(2j * math.pi * rng.uniform(size=400))
+            self._assert_matches_oracle(c + R * u, spec, depth_max=24)
+        off = rng.uniform(-1.2, 1.2, 200) + 1j * rng.uniform(-1.2, 1.2, 200)
+        self._assert_matches_oracle(off, spec)
+
+    def test_matches_the_oracle_on_the_host_circles(self):
+        # the circle points as rounded, and an ulp inside and outside in each part
+        spec = self._two_piece_spec()
+        turns = np.exp(2j * math.pi * np.arange(64) / 64)
+        for piece in spec.pieces:
+            on = piece.host.center + piece.host.radius * turns
+            x, y = on.real, on.imag
+            near = [on]
+            for way in (-np.inf, np.inf):
+                near += [np.nextafter(x, way) + 1j * y, x + 1j * np.nextafter(y, way)]
+            pts = np.concatenate(near)
+            inside = np.abs(pts - piece.host.center) < piece.host.radius
+            assert 0 < inside.sum() < pts.size
+            self._assert_matches_oracle(pts, spec)
+
+    def test_matches_the_oracle_at_signed_zeros(self):
+        # hosts centred on the axes, and points whose parts are the centres' zeros
+        spec = _glued_spec((complex(-0.0, 0.0), 0.1), (complex(0.0, 0.5), 0.045))
+        signs = (0.0, -0.0)
+        pts = [complex(x, y) for x in signs for y in (*signs, 0.03, -0.05, 0.5, 0.52)]
+        pts += [complex(x, y) for x in (0.02, -0.07, 0.01) for y in signs]
+        self._assert_matches_oracle(pts, spec, depth_max=8)
+        self._assert_matches_oracle(pts[:4], self._two_piece_spec())
 
     def test_identity_off_hosts(self):
         spec = self._two_piece_spec()
