@@ -18,6 +18,7 @@ import stat
 import sys
 import tempfile
 from dataclasses import asdict
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -191,24 +192,34 @@ def _iter_point_chunks(path: str):
         yield np.asarray(buf, dtype=np.complex128)
 
 
-_MAP_HEADER = "re,im,phi_re,phi_im,depth,err_bound\n"
-_MAP_ROW = "{!r},{!r},{!r},{!r},{},{!r}\n"
+def _stream(header: str, rows, args: argparse.Namespace) -> None:
+    """Write ``rows(pts)`` of each bounded chunk of ``args.points`` as it is read."""
+    _write_table(header, chain.from_iterable(map(rows, _iter_point_chunks(args.points))), args.out)
+
+
+def _map_table(evaluate, args: argparse.Namespace) -> None:
+    """Stream ``args.points`` into a map table: ``evaluate(pts)`` returns
+    ``(values, depths, err_bounds)``."""
+
+    def rows(pts):
+        values, depths, errs = evaluate(pts)
+        fmt = "{!r},{!r},{!r},{!r},{},{!r}\n"
+        return _csv_rows(fmt, pts.real, pts.imag, values.real, values.imag, depths, errs)
+
+    _stream("re,im,phi_re,phi_im,depth,err_bound\n", rows, args)
 
 
 @_with_params
 def cmd_eval(args: argparse.Namespace, params: ConstructionParams) -> None:
-    # streaming: bounded chunks in, lines straight out
-    def rows(pts):
-        if args.mode == "jacobian":
-            jac = qcmap.jacobian_batch(pts, params, depth_max=args.depth)
-            return _csv_rows("{!r},{!r},{!r}\n", pts.real, pts.imag, jac)
-        evaluate = qcmap.phi_batch if args.mode == "phi" else qcmap.phi_inverse_batch
-        values, depths, errs = evaluate(pts, params, depth_max=args.depth)
-        return _csv_rows(_MAP_ROW, pts.real, pts.imag, values.real, values.imag, depths, errs)
+    def jacobian_rows(pts):
+        jac = qcmap.jacobian_batch(pts, params, depth_max=args.depth)
+        return _csv_rows("{!r},{!r},{!r}\n", pts.real, pts.imag, jac)
 
-    header = "re,im,jacobian\n" if args.mode == "jacobian" else _MAP_HEADER
-    lines = chain.from_iterable(map(rows, _iter_point_chunks(args.points)))
-    _write_table(header, lines, args.out)
+    if args.mode == "jacobian":
+        _stream("re,im,jacobian\n", jacobian_rows, args)
+    else:
+        evaluate = qcmap.phi_batch if args.mode == "phi" else qcmap.phi_inverse_batch
+        _map_table(partial(evaluate, params=params, depth_max=args.depth), args)
 
 
 @_with_params
@@ -325,19 +336,7 @@ def cmd_glue(args: argparse.Namespace) -> None:
     if not args.points:
         _emit(spec.to_json_dict(), args.out)
         return
-
-    def rows(pts):
-        # per-point scalar map: glued_map has no batch form
-        values, depths, errs = [], [], []
-        for z in pts:
-            res = qcmap.glued_map(complex(z), spec, depth_max=args.depth)
-            values.append(res.value)
-            depths.append(res.depth)
-            errs.append(res.err_bound)
-        return _csv_rows(_MAP_ROW, pts.real, pts.imag, np.real(values), np.imag(values), depths, errs)
-
-    lines = chain.from_iterable(map(rows, _iter_point_chunks(args.points)))
-    _write_table(_MAP_HEADER, lines, args.out)
+    _map_table(partial(qcmap.glued_map, spec=spec, depth_max=args.depth), args)
 
 
 # ---------------------------------------------------------------------------

@@ -130,29 +130,24 @@ class DiskPacking:
             np.abs(p - self.centers.take(i), out=dist[start : start + _PAIRS])
         return idx.reshape(pts.shape), dist.reshape(pts.shape)
 
-    def _nearest_one(self, z: complex) -> int:
-        """Scalar :meth:`nearest_center` in plain Python: the same index, and no
-        distance, as :meth:`_CellGrid.nearest`.  NumPy's absolute value costs
-        ten times Python's ``abs`` on a scalar, so here it only ranks near ties."""
+    def _nearest_one(self, z: complex, j: int) -> int:
+        """Scalar :meth:`_CellGrid.nearest` at a point whose owner entry ``j``
+        is negative: -1 searches every center, ``-2 - cell`` that cell's row.
+        NumPy's absolute value costs ten times Python's ``abs`` on a scalar,
+        so here it only ranks near ties."""
+        if j == -1:
+            return _brute_nearest(np.array([z]), self.centers).item()
         grid = self._grid
-        fx, fy = (z.real - grid.x0) / grid.h, (z.imag - grid.y0) / grid.h
-        # outside the border ring's inner edge, the batch lookup searches every center
-        if not (1.0 <= fx < grid.nx - 1 and 1.0 <= fy < grid.ny - 1):
-            return int(grid.nearest(np.array([z], dtype=np.complex128))[0])
-        cell = int(fx) * grid.ny + int(fy)
-        j = grid.owner_view[cell]
-        if j >= 0:
-            return j
         points, best, near = grid.points, math.inf, []
         # padding reads the sentinel at infinity, which is never near
-        for j in grid.table[cell].tolist():
-            c = points[j]
+        for k in grid.table[-2 - j].tolist():
+            c = points[k]
             dx, dy = z.real - c.real, z.imag - c.imag
             d2 = dx * dx + dy * dy
             if d2 < best * (1.0 - _TIE_RTOL):
-                best, near = d2, [j]
+                best, near = d2, [k]
             elif d2 <= best * (1.0 + _TIE_RTOL):
-                near.append(j)
+                near.append(k)
         if len(near) == 1:
             return near[0]
         # near ties are decided by the complex absolute value, first index first

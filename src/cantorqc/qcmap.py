@@ -199,12 +199,10 @@ def _descend_one(
     NumPy's value at every level.
 
     Each level reads the owner table inline, through
-    ``_CellGrid.owner_view``, with :meth:`DiskPacking._nearest_one`'s cell
-    formula and its guard on the border ring's inner edge; a point off the
-    ring or in a shared cell goes to ``_nearest_one`` itself.  The read
-    must be that function's first step exactly, so that the index stays
-    the one its tests check against brute force: beyond the ring the cell
-    formula would wrap round the table or run past it.
+    ``_CellGrid.owner_view``: the scalar cell formula, written only here,
+    guarded by the border ring's inner edge, beyond which it would wrap
+    round the table or run past it.  A point off the ring (entry -1) or in
+    a shared cell goes to :meth:`DiskPacking._nearest_one` with its entry.
     """
     ratio, affine, _ = _side_table(params, side)
     _check_depth(depth_max, affine)
@@ -221,13 +219,13 @@ def _descend_one(
     a, b = 0j, 1 + 0j
     seam, inv = False, 1.0 / ratio
     for level in range(depth_max):
-        # DiskPacking._nearest_one's owner read, inline: the same cell and ring
+        # the owner entry of x's cell, or -1 off the ring
         i = -1
         fx, fy = (x.real - x0) / h, (x.imag - y0) / h
         if 1.0 <= fx < fx_end and 1.0 <= fy < fy_end:
             i = owners[int(fx) * ny + int(fy)]
         if i < 0:
-            i = nearest(x)
+            i = nearest(x, i)
         c = points[i]
         diff = x - c
         d = abs(diff)
@@ -691,24 +689,29 @@ def make_glued_spec(pieces: Sequence[GluedPiece]) -> GluedMapSpec:
     return spec
 
 
-def glued_map(z: complex, spec: GluedMapSpec, depth_max: int = 32) -> MapResult:
-    """Evaluate the glued map: ``z_j + r_j * phi_j((z - z_j)/r_j)`` on host ``j``.
+def glued_map(
+    zs: np.ndarray, spec: GluedMapSpec, depth_max: int = 32
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The glued map ``z_j + r_j * phi_j((z - z_j)/r_j)`` on host ``j`` and the
+    identity off the hosts; returns ``(values, depths, err_bounds)``.
 
-    ``z`` and ``depth_max`` are checked as :func:`phi` checks them, for every
-    piece, whether or not ``z`` lies on a host.
+    Every piece checks ``depth_max``, whether or not a point lies on its
+    host.  The host test and the rescaling round as Python's ``abs(z - z_j)``
+    and ``(z - z_j)/r_j`` do, by ``hypot`` and by two real divisions: NumPy's
+    complex ``abs`` and division round differently.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ParameterError(f"map points must be finite, got {z}")
+    flat = _finite_points(zs, "map points")
     for piece in spec.pieces:
         _check_depth(depth_max, piece.params.image_ratio)
+    values, depths, errs = flat.copy(), np.zeros(flat.size, dtype=np.int64), np.zeros(flat.size)
+    free = np.arange(flat.size)
     for piece in spec.pieces:
-        host = piece.host
-        if abs(z - host.center) < host.radius:
-            res = phi((z - host.center) / host.radius, piece.params, depth_max)
-            return MapResult(
-                host.center + host.radius * res.value,
-                res.depth,
-                host.radius * res.err_bound,
-            )
-    return MapResult(z, 0, 0.0)
+        c, R = piece.host.center, piece.host.radius
+        dz = flat.take(free) - c
+        on = np.hypot(dz.real, dz.imag) < R
+        at, free = free[on], free[~on]
+        if at.size:
+            u = (dz[on].view(np.float64) / R).view(np.complex128)
+            v, depths[at], err = phi_batch(u, piece.params, depth_max)
+            values[at], errs[at] = c + R * v, R * err
+    return tuple(out.reshape(np.shape(zs)) for out in (values, depths, errs))

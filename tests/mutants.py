@@ -104,6 +104,15 @@ MUTANTS = [
     ("batch descent tests seams only from d >= ratio", "qcmap.py",
      "near = np.flatnonzero(d >= near_from)",
      "near = np.flatnonzero(d >= ratio)"),
+    ("glued err_bound not rescaled by the host radius", "qcmap.py",
+     "values[at], errs[at] = c + R * v, R * err",
+     "values[at], errs[at] = c + R * v, err"),
+    ("glued host test by NumPy's complex abs", "qcmap.py",
+     "on = np.hypot(dz.real, dz.imag) < R",
+     "on = np.abs(dz) < R"),
+    ("glued rescaling by NumPy's complex division", "qcmap.py",
+     "u = (dz[on].view(np.float64) / R).view(np.complex128)",
+     "u = dz[on] / R"),
     ("clear cells measured from the cell centres", "geometry.py",
      "half = self.h / 2.0 + _GRID_SLACK * self.h",
      "half = _GRID_SLACK * self.h"),

@@ -17,7 +17,6 @@ from cantorqc import (
     cli,
     derive_params,
     generation_centers,
-    glued_map,
     jacobian_batch,
     make_glued_spec,
     phi_batch,
@@ -25,6 +24,7 @@ from cantorqc import (
 )
 from cantorqc.qcmap import phi_map_fn
 from cantorqc.verify import HolderConfig, box_dimension, holder_pair_table
+from test_qcmap import glued_oracle
 
 BASE = [sys.executable, "-m", "cantorqc"]
 GLUE = ["glue", "--t", "1", "--K", "2", "--hosts=-0.45,0.0,0.1", "--piece-m", "7"]
@@ -480,7 +480,7 @@ def test_csv_tables_match_rows_written_one_f_string_at_a_time(tmp_path):
     assert (errs > 0).sum() >= 3
     spec = make_glued_spec([GluedPiece(Disk(-0.45 + 0j, 0.1), p)])
     on_host = pts * 0.1 - 0.45
-    glued = [glued_map(z, spec, 4) for z in on_host.tolist()]
+    glued = [glued_oracle(z, spec, 4) for z in on_host.tolist()]
     sep, ratio = holder_pair_table(phi_map_fn(p, 40), p.holder_exp, HolderConfig(params=p), seed=2)
     dim = box_dimension("image", p, 3, seed=3)
     centers = generation_centers(2, "image", p)
@@ -497,9 +497,7 @@ def test_csv_tables_match_rows_written_one_f_string_at_a_time(tmp_path):
          + "".join(f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r}\n" for z, v in zip(pts, jac))),
         (["glue", "--t", "1", "--K", "2", "--hosts=-0.45,0.0,0.1", "--piece-m", "7",
           "--points", str(glue_pts), "--depth", "4"],
-         "re,im,phi_re,phi_im,depth,err_bound\n" + _f_string_map_rows(
-             on_host, [g.value for g in glued], [g.depth for g in glued],
-             [g.err_bound for g in glued])),
+         "re,im,phi_re,phi_im,depth,err_bound\n" + _f_string_map_rows(on_host, *zip(*glued))),
         (["holder", "--format", "csv", "--seed", "2", *common],
          "separation,ratio\n" + "".join(f"{float(s)!r},{float(q)!r}\n" for s, q in zip(sep, ratio))),
         (["dimension", "--format", "csv", "--side", "image", "--N", "3", "--seed", "3", *common],

@@ -115,6 +115,18 @@ def _lookup_points(packing: DiskPacking, seed: int) -> np.ndarray:
     return np.concatenate([uniform, *seams, bisectors])
 
 
+def _assert_fallback_finds(packing: DiskPacking, pts: np.ndarray, ref: np.ndarray) -> None:
+    """The scalar lookup's fallback returns the brute-force index ``ref`` at
+    every point of ``pts`` whose owner entry is negative: -1 beyond the grid,
+    ``-2 - cell`` in a shared cell."""
+    grid = packing._grid
+    entry = grid.owners.take(grid.cells(pts))
+    miss = np.flatnonzero(entry < 0)
+    assert (entry == -1).any()
+    found = [packing._nearest_one(z, j) for z, j in zip(pts[miss].tolist(), entry[miss].tolist())]
+    assert found == ref[miss].tolist()
+
+
 class TestNearestCenter:
     """Batch and scalar lookups against brute force: same index; the descent's
     distances have the same bits."""
@@ -129,7 +141,7 @@ class TestNearestCenter:
         ref_dist = np.abs(pts - packing.centers[ref])
         idx, dist = packing.nearest_center(pts)
         assert np.array_equal(idx, ref) and np.array_equal(dist, ref_dist)
-        assert [packing._nearest_one(z) for z in pts.tolist()] == ref.tolist()
+        _assert_fallback_finds(packing, pts, ref)
         for depth_max in (1, 32):
             assert_twins_agree(pts, _params(packing), depth_max)
         grid_idx, grid_dist = packing.nearest_center(pts[:1200].reshape(30, 40))
@@ -280,7 +292,7 @@ class TestRefinedGrid:
         ref, ref_dist = _brute(packing, pts)
         idx, dist = packing.nearest_center(pts)
         assert np.array_equal(idx, ref) and np.array_equal(dist, ref_dist)
-        assert [packing._nearest_one(z) for z in pts.tolist()] == ref.tolist()
+        _assert_fallback_finds(packing, pts, ref)
         for depth_max in (1, 32):
             assert_twins_agree(pts, _params(packing), depth_max)
 

@@ -698,11 +698,12 @@ class TestGluedMap:
 
     def _assert_matches_oracle(self, zs, spec, depth_max=32):
         # repr tells signed zeros apart and round-trips every bit
-        for z in np.asarray(zs, dtype=np.complex128).ravel().tolist():
-            res = glued_map(z, spec, depth_max)
-            assert repr((res.value, res.depth, res.err_bound)) == repr(
-                glued_oracle(z, spec, depth_max)
-            ), z
+        zs = np.asarray(zs, dtype=np.complex128)
+        out = glued_map(zs, spec, depth_max)
+        assert all(v.shape == zs.shape for v in out)
+        got = zip(*(v.ravel().tolist() for v in out))
+        for z, res in zip(zs.ravel().tolist(), got):
+            assert repr(res) == repr(glued_oracle(z, spec, depth_max)), z
 
     def test_matches_the_oracle_on_and_off_the_hosts(self):
         spec = self._two_piece_spec()
@@ -738,20 +739,29 @@ class TestGluedMap:
         self._assert_matches_oracle(pts, spec, depth_max=8)
         self._assert_matches_oracle(pts[:4], self._two_piece_spec())
 
+    def test_matches_the_oracle_on_a_grid_and_on_no_points(self):
+        # a 2-D input keeps its shape, an empty one too
+        spec = self._two_piece_spec()
+        grid = np.linspace(-0.56, 0.46, 60)[None, :] + 1j * np.linspace(-0.11, 0.25, 40)[:, None]
+        for piece in spec.pieces:
+            assert (np.abs(grid - piece.host.center) < piece.host.radius).sum() >= 10
+        self._assert_matches_oracle(grid, spec, depth_max=24)
+        self._assert_matches_oracle(np.empty((0, 3), dtype=np.complex128), spec)
+
     def test_identity_off_hosts(self):
         spec = self._two_piece_spec()
-        for z in (0j, 0.8 + 0.1j, -0.1 - 0.6j, 2 + 2j):
-            res = glued_map(z, spec)
-            assert res.value == z and res.err_bound == 0.0
+        zs = np.array([0j, 0.8 + 0.1j, -0.1 - 0.6j, 2 + 2j])
+        values, depths, errs = glued_map(zs, spec)
+        assert np.array_equal(values, zs) and not depths.any() and not errs.any()
 
     def test_single_piece_unit_host_reduces_to_phi(self, params7):
         spec = GluedMapSpec(pieces=(GluedPiece(Disk(0j, 1.0), params7),))
-        rng = RNG(4)
-        for _ in range(50):
-            z = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-            a = glued_map(z, spec, depth_max=20)
-            b = phi(z, params7, depth_max=20)
-            assert a.value == b.value and a.err_bound == b.err_bound
+        xy = RNG(4).uniform(-1.2, 1.2, (50, 2))
+        zs = xy[:, 0] + 1j * xy[:, 1]
+        a, a_depths, a_errs = glued_map(zs, spec, depth_max=20)
+        b, b_depths, b_errs = phi_batch(zs, params7, depth_max=20)
+        assert np.array_equal(a, b) and np.array_equal(a_errs, b_errs)
+        assert np.array_equal(a_depths, b_depths)
 
     def test_pieces_are_rescaled_single_maps(self):
         spec = self._two_piece_spec()
@@ -759,27 +769,26 @@ class TestGluedMap:
         for piece in spec.pieces:
             host = piece.host
             u = 0.9 * (rng.uniform(-0.7, 0.7, 40) + 1j * rng.uniform(-0.7, 0.7, 40))
-            z = host.center + host.radius * u
-            for zk, uk in zip(z, u):
-                res = glued_map(complex(zk), spec, depth_max=24)
-                ref = phi(complex(uk), piece.params, depth_max=24)
+            values, _, errs = glued_map(host.center + host.radius * u, spec, depth_max=24)
+            for value, err, uk in zip(values.tolist(), errs.tolist(), u.tolist()):
+                ref = phi(uk, piece.params, depth_max=24)
                 expected = host.center + host.radius * ref.value
-                assert abs(res.value - expected) < 1e-14
-                assert res.err_bound == pytest.approx(host.radius * ref.err_bound)
+                assert abs(value - expected) < 1e-14
+                assert err == pytest.approx(host.radius * ref.err_bound)
 
     @pytest.mark.parametrize("bad", [complex(math.nan, 0.3), complex(0.1, math.inf)])
     def test_rejects_non_finite_point(self, bad):
         # a non-finite point lies on no host, so only an up-front check sees it
-        with pytest.raises(ParameterError, match="must be finite"):
-            glued_map(bad, self._two_piece_spec())
+        with pytest.raises(ParameterError, match="map points must be finite; point 1 is"):
+            glued_map(np.array([-0.45 + 0j, bad, 0.1 + 0j]), self._two_piece_spec())
 
     @pytest.mark.parametrize("z", [0.1 + 0.0j, -0.45 + 0.0j], ids=["off-host", "on-host"])
     def test_rejects_bad_depth_wherever_the_point_lies(self, z):
         spec = self._two_piece_spec()
         with pytest.raises(ParameterError, match="depth_max must be >= 1"):
-            glued_map(z, spec, depth_max=0)
+            glued_map(np.array([z]), spec, depth_max=0)
         with pytest.raises(ParameterError, match="underflows"):
-            glued_map(z, spec, depth_max=2000)
+            glued_map(np.array([z]), spec, depth_max=2000)
 
     def test_holder_constants_below_one(self):
         spec = self._two_piece_spec()
