@@ -50,14 +50,14 @@ def _transform_at(measure, z):
 def _assert_tree_matches_direct(mu, zs, rows=50):
     """Tree descent against the direct sum, within 256u of sum |w/(z-p)|/pi
     (summed over ``rows`` points at a time)."""
-    assert mu.ifs is not None and mu.count > LEAF
+    assert mu.count > LEAF
     tree, _ = cauchy_transform_batch(mu, zs)
-    direct, _ = cauchy_transform_batch(replace(mu, ifs=None), zs)
     for i in range(0, zs.size, rows):
         block = zs[i : i + rows]
-        absolute = (mu.weight / np.abs(block[:, None] - mu.positions[None, :])).sum(axis=1)
-        err = np.abs(tree[i : i + rows] - direct[i : i + rows])
-        assert (err <= 256 * UNIT_ROUNDOFF * absolute / math.pi).all()
+        terms = mu.weight / (block[:, None] - mu.positions[None, :])
+        direct = terms.sum(axis=1) / math.pi
+        err = np.abs(tree[i : i + rows] - direct)
+        assert (err <= 256 * UNIT_ROUNDOFF * np.abs(terms).sum(axis=1) / math.pi).all()
 
 
 def _seeded_points(mu, seed, n_disk, n_near, n_ring):
@@ -274,15 +274,30 @@ class TestAtomQueries:
             assert np.array_equal(mu._ball_counts(np.array([center]), radii)[0], expected)
 
 
-#: SHA-256 of each query's outputs over the four ``tree_measures`` at seeded
+#: SHA-256 of each query's outputs on each of the ``tree_measures`` at seeded
 #: points, so that a rewrite of the tree walks must reproduce every bit; the
 #: comparison with the direct sum above allows 256u.  Captured with NumPy
 #: 2.4.6 on x86-64: a digest that breaks after a NumPy or CPU change, with the
 #: queries unchanged, is recaptured, not mended.
 QUERY_DIGESTS = {
-    "cauchy_transform_batch": "96f2771bd62a52ec550caac31f74497fd7421739458ef8d3aa75c8efd455826b",
-    "growth_ratio": "00055c3afc56d8aa9b0b91b42d68158f2566fd0ffff293b22df07e3ff189af48",
-    "nearest_atom_distance": "5c7868b50d828f16c48415ff5c71c76e46ba910714e519bb0365309c30536257",
+    "cauchy_transform_batch": {
+        "criterion-11": "ef0e265168611bb6221cbeebef7e05f6501a03bb250138432a0496f1e3e6f18c",
+        "m7-N5": "23f503c9d3e9930884c675326046c7fb223eb75d724468b71cec75ffb053ef4d",
+        "small": "4612254020075ce3f406782941eba220003260e64a4d2c320eefe233affb8bc8",
+        "plain": "209f320315323d0d7c3dabf95afe2a5b147729339737cea749c9c626bea26ccb",
+    },
+    "growth_ratio": {
+        "criterion-11": "13a25940006defde263ee00e07bacd1c6cb3f9fa587b7540186ba5324c3cf771",
+        "m7-N5": "89d2412e7e4c7805a0474450eb17207136208ee80d3c5c8dda76f4c866677856",
+        "small": "e3b896af2917ecdbff5e47901338fa96b2a9da5c474b03982e0796bb4b067478",
+        "plain": "39fb023c8efc6396ecd5e92ce17ce3290f55129e54b1b86a2f710385b749b657",
+    },
+    "nearest_atom_distance": {
+        "criterion-11": "030c9ac1df6f1609df1102afc17c16575f76e1e0d20966f1b0b633a6dc933820",
+        "m7-N5": "3a9f71ed194f34a517f8bb4e7c1d1840a03919d36e490c82d7fd0f00b7ac0bbb",
+        "small": "8e87bf6d63a421437b04cb2097ce23ccd8bb179c561d118dd64f93c565888d60",
+        "plain": "323fffe0d87c18b5f751e8a0e394331462f73a004637e2d8191e5b0ef46af5e8",
+    },
 }
 
 
@@ -300,15 +315,19 @@ def _query_outputs(mu, query):
     return [np.array([mu.growth_ratio(centers, np.array([rho])) for rho in radii])]
 
 
+def _query_digest(mu, query):
+    h = hashlib.sha256()
+    for a in _query_outputs(mu, query):
+        a = np.ascontiguousarray(a)
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("query", sorted(QUERY_DIGESTS))
 def test_query_digest(tree_measures, query):
-    h = hashlib.sha256()
-    for name in ("criterion-11", "m7-N5", "small", "plain"):
-        for a in _query_outputs(tree_measures[name], query):
-            a = np.ascontiguousarray(a)
-            h.update(a.dtype.str.encode())
-            h.update(a.tobytes())
-    assert h.hexdigest() == QUERY_DIGESTS[query]
+    pinned = QUERY_DIGESTS[query]
+    assert {name: _query_digest(tree_measures[name], query) for name in pinned} == pinned
 
 
 class TestCauchyTransform:
