@@ -671,19 +671,20 @@ def _chain_offsets(
     return a, scale
 
 
-def _check_cap(m: int, N: int) -> None:
+def _generation(centers: np.ndarray, ratio: float, N: int) -> np.ndarray:
+    """Images of 0 under the generation-``N`` composites of ``z -> centers[j] + ratio*z``,
+    in lexicographic multi-index order."""
     if N < 0:
         raise ParameterError(f"generation N must be >= 0, got {N}")
-    if m**N > ENUMERATION_CAP:
-        raise EnumerationCapError(f"m**N = {m}**{N} exceeds the enumeration cap {ENUMERATION_CAP}")
+    if centers.size**N > ENUMERATION_CAP:
+        raise EnumerationCapError(f"m**N = {centers.size}**{N} exceeds the enumeration cap {ENUMERATION_CAP}")
+    out = np.array([0j])
+    for _ in range(N):
+        out = (centers[:, None] + ratio * out[None, :]).ravel()
+    return out
 
 
 def generation_centers(N: int, side: str, params: ConstructionParams) -> np.ndarray:
     """Centers of all generation-``N`` disks in lexicographic multi-index order."""
-    ratio = params.ratio(side)
-    _check_cap(params.m, N)
-    out = np.array([0j])
-    for _ in range(N):
-        out = (params.packing.centers[:, None] + ratio * out[None, :]).ravel()
-    return out
+    return _generation(params.packing.centers, params.ratio(side), N)
 

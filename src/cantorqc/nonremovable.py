@@ -31,9 +31,9 @@ the direct sum itself.  The ball counts take a cluster wholly inside a ball
 at once and drop one wholly outside; the nearest-atom search drops a
 cluster beyond the distance of a first, greedy atom.  Both widen cluster
 disks far beyond rounding and compare atoms as a KD-tree would, by
-``dx*dx + dy*dy``.  Leaves hold at most :data:`LEAF` atoms; a measure without
-an IFS, or of at most :data:`LEAF` atoms, is one leaf.  Atoms are still
-enumerated.
+``dx*dx + dy*dy``.  Leaves hold at most :data:`LEAF` atoms; a measure of at
+most :data:`LEAF` atoms is one leaf.  The IFS and the generation define the
+measure; its atoms are enumerated on first read and cached with the IFS.
 
 The transform's far field is a dual tree (Dehnen 2002), in :mod:`_farfield`,
 which is imported on the first transform over a tree.  A quadtree of
@@ -72,11 +72,11 @@ from .geometry import (
     _CellGrid,
     _finite_points,
     _sq_dist,
+    _generation,
     ConstructionParams,
     ParameterError,
     build_packing,
     derive_params,
-    generation_centers,
 )
 from .qcmap import _uniform_disk, phi_batch
 from .verify import HolderConfig, HolderReport, holder_estimate
@@ -171,6 +171,10 @@ class ImageIFS:
         centers = np.ascontiguousarray(self.centers, dtype=np.complex128)
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
+        if centers.size == 0:
+            raise ParameterError("an IFS needs at least one center")
+        if not np.isfinite(centers).all():
+            raise ParameterError("IFS centers must be finite")
         if not 0.0 < self.ratio < 1.0:
             raise ParameterError(f"IFS ratio must lie in (0, 1), got {self.ratio}")
         if self.generation < 0:
@@ -179,6 +183,14 @@ class ImageIFS:
     @property
     def m(self) -> int:
         return self.centers.size
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """The ``m**generation`` atoms, enumerated on first read (up to
+        :data:`ENUMERATION_CAP`)."""
+        positions = _generation(self.centers, self.ratio, self.generation)
+        positions.flags.writeable = False
+        return positions
 
     def radius(self, k: int) -> float:
         """Largest ``|p|`` over the atoms ``p`` of a level-``k`` cluster in its
@@ -237,44 +249,33 @@ class ImageIFS:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Atoms of one weight each, with a sampled power-law growth constant.
+    """The uniform measure on the ``m**N`` atoms of ``ifs`` at its generation
+    ``N``, each of weight ``m**-N``, with a sampled power-law growth constant.
 
     ``measure(B(z, rho)) <= growth_constant * rho**growth_exponent`` was
-    checked on sampled balls with ``rho >= resolution``; nothing is claimed
-    below that scale floor.  ``ifs``, when given, generated the atoms (in
-    :func:`generation_centers` order); the Cauchy transform then descends
-    its tree instead of summing every atom.
+    checked on sampled balls with ``rho >= resolution = ratio**N``; nothing
+    is claimed below that scale floor.
     """
 
-    positions: np.ndarray
-    weight: float
-    resolution: float
+    ifs: ImageIFS
     growth_exponent: float
     growth_constant: float
-    ifs: ImageIFS | None = None
 
-    def __post_init__(self) -> None:
-        positions = np.ascontiguousarray(self.positions, dtype=np.complex128)
-        positions.flags.writeable = False
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "weight", float(self.weight))
-        if positions.size == 0:
-            raise ParameterError("a measure needs at least one atom")
-        if not self.weight > 0:
-            raise ParameterError(f"the atom weight must be positive, got {self.weight}")
-        if not np.isfinite(positions).all():
-            raise ParameterError("atom positions must be finite")
-        if not 0.0 < self.resolution < math.inf:
-            raise ParameterError(f"resolution must be positive and finite, got {self.resolution}")
-        if self.ifs is not None and positions.size != self.ifs.m**self.ifs.generation:
-            raise ParameterError(
-                f"an IFS of {self.ifs.m} maps at generation {self.ifs.generation} "
-                f"places {self.ifs.m**self.ifs.generation} atoms, got {positions.size}"
-            )
+    @property
+    def positions(self) -> np.ndarray:
+        return self.ifs.positions
 
     @property
     def count(self) -> int:
-        return self.positions.size
+        return self.ifs.m**self.ifs.generation
+
+    @property
+    def weight(self) -> float:
+        return float(self.ifs.m) ** -self.ifs.generation
+
+    @property
+    def resolution(self) -> float:
+        return self.ifs.ratio**self.ifs.generation
 
     def _walk(self, zs: np.ndarray, finish, leaf, tag: int = 1, levels: int | None = None,
               grid: _CellGrid | None = None) -> None:
@@ -422,8 +423,11 @@ class DiscreteMeasure:
     def growth_ratio(self, centers: np.ndarray, radii: np.ndarray) -> float:
         """Max of ``mass(B)/rho**s`` over all (center, radius) combinations,
         each ball weighed by counting its atoms; a non-finite center raises
-        :class:`ParameterError`."""
+        :class:`ParameterError`, as does a radius that is not positive and finite."""
         radii = np.asarray(radii, dtype=float)
+        bad = radii[~((radii > 0.0) & (radii < math.inf))]
+        if bad.size:
+            raise ParameterError(f"growth radii must be positive and finite, got {bad[0]}")
         best = 0.0
         for rho, count in zip(radii, self._ball_counts(centers, radii).max(axis=0)):
             best = max(best, float(count) * self.weight / rho**self.growth_exponent)
@@ -461,16 +465,8 @@ def frostman_measure(
     s = params.dim_image - growth_delta
     if s <= 0:
         raise ParameterError(f"growth exponent {s} must be positive")
-    centers = generation_centers(N, "image", params)
-    resolution = params.image_ratio**N
-    measure = DiscreteMeasure(
-        positions=centers,
-        weight=float(params.m) ** (-N),
-        resolution=resolution,
-        growth_exponent=s,
-        growth_constant=math.nan,
-        ifs=ImageIFS(params.packing.centers, params.image_ratio, N),
-    )
+    measure = DiscreteMeasure(ImageIFS(params.packing.centers, params.image_ratio, N), s, math.nan)
+    centers, resolution = measure.positions, measure.resolution
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_atoms = min(200, centers.size)
     picked = centers[rng.choice(centers.size, size=n_atoms, replace=False)]

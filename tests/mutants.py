@@ -113,6 +113,15 @@ MUTANTS = [
     ("glued rescaling by NumPy's complex division", "qcmap.py",
      "u = (dz[on].view(np.float64) / R).view(np.complex128)",
      "u = dz[on] / R"),
+    ("glued host overlap by one radius", "qcmap.py",
+     "if abs(hi.center - hj.center) <= hi.radius + hj.radius:",
+     "if abs(hi.center - hj.center) <= 2.0 * hi.radius:"),
+    ("growth check flags at 30 standard errors", "verify.py",
+     "c_cap * (1.0 + 3.0 * norm_err",
+     "c_cap * (1.0 + 30.0 * norm_err"),
+    ("measure weight from generation N-1", "nonremovable.py",
+     "return float(self.ifs.m) ** -self.ifs.generation",
+     "return float(self.ifs.m) ** (1 - self.ifs.generation)"),
     ("clear cells measured from the cell centres", "geometry.py",
      "half = self.h / 2.0 + _GRID_SLACK * self.h",
      "half = _GRID_SLACK * self.h"),

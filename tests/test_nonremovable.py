@@ -138,43 +138,54 @@ class TestFrostmanMeasure:
             with pytest.raises(ParameterError):
                 frostman_measure(params7, 1, growth_delta=delta)
 
-    def test_rejects_non_positive_weight(self):
-        for weight in (0.0, -0.5, math.nan):
-            with pytest.raises(ParameterError, match="weight must be positive"):
-                DiscreteMeasure(np.array([0j, 0.5 + 0j]), weight, 1e-3, 1.0, 1.0)
-
-    @pytest.mark.parametrize("positions, resolution, match", [
-        ([math.nan + 0j, 0.5 + 0j], 1e-3, "atom positions must be finite"),
-        ([0.5 + 0j, complex(0.0, math.inf)], 1e-3, "atom positions must be finite"),
-        ([0j, 0.5 + 0j], math.nan, "resolution must be positive and finite"),
-        ([0j, 0.5 + 0j], math.inf, "resolution must be positive and finite"),
-        ([0j, 0.5 + 0j], 0.0, "resolution must be positive and finite"),
-    ], ids=["nan-atom", "infinite-atom", "nan-resolution", "infinite-resolution", "zero-resolution"])
-    def test_rejects_non_finite_atom_or_resolution(self, positions, resolution, match):
-        with pytest.raises(ParameterError, match=match):
-            DiscreteMeasure(np.array(positions), 0.5, resolution, 1.0, 1.0)
+    @pytest.mark.parametrize("centers", [
+        [math.nan + 0j, 0.5 + 0j],
+        [0.5 + 0j, complex(0.0, math.inf)],
+    ], ids=["nan-center", "infinite-center"])
+    def test_rejects_non_finite_center(self, centers):
+        # a NaN center would place NaN atoms and give the IFS a NaN radius
+        with pytest.raises(ParameterError, match="IFS centers must be finite"):
+            ImageIFS(np.array(centers), 0.5, 1)
 
     def test_rejects_empty_measure(self):
-        with pytest.raises(ParameterError, match="at least one atom"):
-            DiscreteMeasure(np.zeros(0, complex), 1.0, 1e-3, 1.0, 1.0)
+        # no center places no atom
+        with pytest.raises(ParameterError, match="an IFS needs at least one center"):
+            ImageIFS(np.zeros(0, complex), 0.5, 1)
 
-    def test_ifs_must_match_atoms(self, params7):
+    def test_weight_and_resolution_follow_the_ifs(self, params7):
+        # weight m**-N, resolution ratio**N, and the atoms cached on the IFS,
+        # so that a copy of the measure reads the same array
+        mu = frostman_measure(params7, 3)
+        assert mu.count == 343 and mu.weight == float(7) ** -3
+        assert mu.resolution == params7.image_ratio**3
+        assert replace(mu, growth_constant=1.0).positions is mu.positions
+        assert not mu.positions.flags.writeable
+        assert np.array_equal(mu.positions, generation_centers(3, "image", params7))
+
+    @pytest.mark.parametrize("rho", [0.0, -0.1, math.nan, math.inf])
+    def test_growth_ratio_rejects_radii_not_positive_and_finite(self, params7, rho):
+        # a zero radius would give an infinite ratio, a negative or NaN one
+        # would drop out of the maximum unseen
         mu = frostman_measure(params7, 2)
-        with pytest.raises(ParameterError, match="places 343 atoms, got 49"):
-            replace(mu, ifs=ImageIFS(params7.packing.centers, params7.image_ratio, 3))
+        with pytest.raises(ParameterError, match="growth radii must be positive and finite"):
+            mu.growth_ratio(np.array([0.1 + 0j]), np.array([0.5, rho]))
+
+
+def _atoms(positions, resolution=1e-3):
+    """The measure of one weight on ``positions``: the generation-1 atoms of
+    an IFS with those centers, each of weight ``1/len(positions)``."""
+    return DiscreteMeasure(ImageIFS(np.array(positions, dtype=complex), resolution, 1), 1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
 def tree_measures(params7):
     """The criterion-11 measure (217**2 atoms, one level above its leaves),
-    7**5 atoms (two levels), and two measures searched as one leaf: 7**2
-    atoms, at most LEAF, and 7**4 atoms without their IFS."""
+    7**5 atoms (two levels), and 7**2 atoms, at most LEAF, searched as one leaf."""
     crit11 = build_counterexample(0.5, 2.0, 1.9, N=2, depth_max=40, seed=0).measure
     return {
         "criterion-11": crit11,
         "m7-N5": frostman_measure(params7, 5),
         "small": frostman_measure(params7, 2),
-        "plain": replace(frostman_measure(params7, 4), ifs=None),
     }
 
 
@@ -194,8 +205,8 @@ class TestAtomQueries:
         ref, _ = _kd_tree(mu).query(np.column_stack([zs.real, zs.imag]))
         assert np.array_equal(mu.nearest_atom_distance(zs), ref)
 
-    def test_nearest_atom_distance_direct_paths(self, tree_measures):
-        for mu in (tree_measures["small"], tree_measures["plain"]):
+    def test_nearest_atom_distance_direct_paths(self, tree_measures, params7):
+        for mu in (tree_measures["small"], frostman_measure(params7, 0)):
             zs = _seeded_points(mu, 32, 500, 200, 20)
             ref, _ = _kd_tree(mu).query(np.column_stack([zs.real, zs.imag]))
             assert np.array_equal(mu.nearest_atom_distance(zs), ref)
@@ -232,7 +243,7 @@ class TestAtomQueries:
         with pytest.raises(ParameterError, match="ball centers must be finite; point 1 is"):
             mu.growth_ratio(np.array([0.3, bad]), np.array([0.1, 0.5]))
 
-    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5", "small", "plain"])
+    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5", "small"])
     def test_growth_ratio_counts(self, tree_measures, name):
         mu = tree_measures[name]
         rng = np.random.default_rng(33)
@@ -255,7 +266,7 @@ class TestAtomQueries:
             float(c.max()) * weight / rho**mu.growth_exponent for c, rho in zip(counts.T, radii)
         )
 
-    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5", "small", "plain"])
+    @pytest.mark.parametrize("name", ["criterion-11", "m7-N5", "small"])
     def test_ball_mass_at_atom_distances(self, tree_measures, name):
         # radii equal to an atom's distance and one ulp either side, and the
         # radii of the growth certificate
@@ -284,19 +295,16 @@ QUERY_DIGESTS = {
         "criterion-11": "ef0e265168611bb6221cbeebef7e05f6501a03bb250138432a0496f1e3e6f18c",
         "m7-N5": "23f503c9d3e9930884c675326046c7fb223eb75d724468b71cec75ffb053ef4d",
         "small": "4612254020075ce3f406782941eba220003260e64a4d2c320eefe233affb8bc8",
-        "plain": "209f320315323d0d7c3dabf95afe2a5b147729339737cea749c9c626bea26ccb",
     },
     "growth_ratio": {
         "criterion-11": "13a25940006defde263ee00e07bacd1c6cb3f9fa587b7540186ba5324c3cf771",
         "m7-N5": "89d2412e7e4c7805a0474450eb17207136208ee80d3c5c8dda76f4c866677856",
         "small": "e3b896af2917ecdbff5e47901338fa96b2a9da5c474b03982e0796bb4b067478",
-        "plain": "39fb023c8efc6396ecd5e92ce17ce3290f55129e54b1b86a2f710385b749b657",
     },
     "nearest_atom_distance": {
         "criterion-11": "030c9ac1df6f1609df1102afc17c16575f76e1e0d20966f1b0b633a6dc933820",
         "m7-N5": "3a9f71ed194f34a517f8bb4e7c1d1840a03919d36e490c82d7fd0f00b7ac0bbb",
         "small": "8e87bf6d63a421437b04cb2097ce23ccd8bb179c561d118dd64f93c565888d60",
-        "plain": "323fffe0d87c18b5f751e8a0e394331462f73a004637e2d8191e5b0ef46af5e8",
     },
 }
 
@@ -332,18 +340,13 @@ def test_query_digest(tree_measures, query):
 
 class TestCauchyTransform:
     def test_single_atom(self):
-        mu = DiscreteMeasure(
-            positions=np.array([0j]), weight=1.0,
-            resolution=1e-3, growth_exponent=1.0, growth_constant=1.0,
-        )
+        mu = _atoms([0j])
         for z in (1 + 0j, 2j, -0.5 + 0.5j):
             assert _transform_at(mu, z) == pytest.approx(1.0 / (math.pi * z), rel=1e-14)
 
     def test_two_atoms_partial_fractions(self):
-        mu = DiscreteMeasure(
-            positions=np.array([0.5 + 0j, -0.5 + 0j]), weight=0.5,
-            resolution=1e-3, growth_exponent=1.0, growth_constant=1.0,
-        )
+        mu = _atoms([0.5 + 0j, -0.5 + 0j])
+        assert mu.weight == 0.5
         for z in (1.3 + 0.2j, -2 + 1j, 0.1 + 0.9j):
             expected = z / (math.pi * (z * z - 0.25))
             assert _transform_at(mu, z) == pytest.approx(expected, rel=1e-13)
@@ -355,23 +358,25 @@ class TestCauchyTransform:
             val = _transform_at(mu, complex(z))
             assert z * val == pytest.approx(1.0 / math.pi, rel=2.0 / R)
 
-    def test_linearity(self, params7):
-        mu = frostman_measure(params7, 1)
-        half = DiscreteMeasure(
-            positions=mu.positions, weight=0.5 * mu.weight,
-            resolution=mu.resolution, growth_exponent=mu.growth_exponent,
-            growth_constant=mu.growth_constant,
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_duplicated_atoms_at_half_weight(self, params7, N):
+        # doubling every center doubles each atom at half its weight: the
+        # same measure, summed directly at N = 1 and over the tree at N = 3
+        mu = frostman_measure(params7, N)
+        twice = DiscreteMeasure(
+            ImageIFS(np.repeat(params7.packing.centers, 2), params7.image_ratio, N), 1.0, 1.0
         )
-        z = 0.3 + 1.4j
-        assert _transform_at(half, z) == pytest.approx(0.5 * _transform_at(mu, z), rel=1e-14)
+        assert twice.count == 2**N * mu.count and twice.weight == mu.weight / 2**N
+        assert (twice.count > LEAF) == (N == 3)
+        zs = _seeded_points(mu, 14, 40, 10, 5)
+        got, want = cauchy_transform_batch(twice, zs)[0], cauchy_transform_batch(mu, zs)[0]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)), min_size=1, max_size=6))
     def test_reflection_conjugate_symmetry(self, atom_coords):
         pos = np.array([complex(a, b) for a, b in atom_coords])
-        w = 1.0 / pos.size
-        mu = DiscreteMeasure(pos, w, 1e-4, 1.0, 1.0)
-        mu_refl = DiscreteMeasure(np.conj(pos), w, 1e-4, 1.0, 1.0)
+        mu, mu_refl = _atoms(pos, 1e-4), _atoms(np.conj(pos), 1e-4)
         z = 1.7 + 1.3j
         lhs = np.conj(_transform_at(mu_refl, np.conj(z)))
         assert lhs == pytest.approx(_transform_at(mu, z), rel=1e-12)
@@ -449,11 +454,9 @@ class TestCauchyTransform:
             for got, want in zip(parts, whole):
                 assert np.array_equal(np.concatenate(got), want), cut
 
-    def test_direct_expression_kept_for_small_or_plain_measures(self, params7):
-        small = frostman_measure(params7, 2)
-        plain = replace(frostman_measure(params7, 4), ifs=None)
-        assert small.count <= LEAF < plain.count
-        for mu in (small, plain):
+    def test_direct_expression_kept_for_one_leaf_measures(self, params7):
+        for mu in (frostman_measure(params7, 1), frostman_measure(params7, 2)):
+            assert mu.count <= LEAF
             zs = _seeded_points(mu, 13, 40, 10, 5)
             values, _ = cauchy_transform_batch(mu, zs)
             expected = (mu.weight / (zs[:, None] - mu.positions[None, :])).sum(axis=1)
@@ -539,10 +542,7 @@ class TestCounterexampleEvaluator:
             assert abs(composed - v) <= 1e-12 * max(1.0, abs(v))
 
     def test_dbar_single_atom_analytic(self):
-        mu = DiscreteMeasure(
-            positions=np.array([0j]), weight=1.0,
-            resolution=1e-2, growth_exponent=1.0, growth_constant=1.0,
-        )
+        mu = _atoms([0j], 1e-2)
 
         class Shim:
             measure = mu

@@ -813,6 +813,14 @@ class TestGluedMap:
                 ]
             )
 
+    @pytest.mark.parametrize("radii", [(0.1, 0.06), (0.06, 0.1)], ids=["larger-first", "smaller-first"])
+    def test_overlap_is_measured_by_both_radii(self, radii):
+        # 0.15 apart, radii 0.1 and 0.06: the disks overlap by 0.01, which
+        # twice the radius of the first host misses in one of the two orders
+        p7 = derive_params(1.0, 2.0, build_packing(7))
+        with pytest.raises(ParameterError, match="overlap"):
+            make_glued_spec([GluedPiece(Disk(0.15j * i, r), p7) for i, r in enumerate(radii)])
+
     def test_rejects_nondecreasing_deficit(self):
         p7 = derive_params(1.0, 2.0, build_packing(7))
         p19 = derive_params(1.0, 2.0, build_packing(19))

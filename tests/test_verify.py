@@ -267,3 +267,11 @@ class TestIntegralGrowth:
     def test_cap_flagging(self, params7):
         rep = integral_growth_check(30, 3, params7, depth=7, mc_samples=2000, c_cap=1e-6)
         assert rep.flagged > 0
+
+    def test_flags_a_disk_ten_standard_errors_above_the_cap(self, params7):
+        # the disk of the largest value lies 10 of its standard errors above
+        # this cap, past the 3-sigma margin, so it at least is flagged
+        rep = integral_growth_check(30, 3, params7, depth=7, mc_samples=2000)
+        cap = rep.max_normalized / (1.0 + 10.0 * rep.stderr_at_max / rep.max_normalized)
+        rep = integral_growth_check(30, 3, params7, depth=7, mc_samples=2000, c_cap=cap)
+        assert rep.flagged >= 1
