@@ -71,8 +71,8 @@ from .geometry import (
     ENUMERATION_CAP,
     _CellGrid,
     _finite_points,
-    _sq_dist,
     _generation,
+    _sq_dist,
     ConstructionParams,
     ParameterError,
     build_packing,
@@ -186,8 +186,8 @@ class ImageIFS:
 
     @cached_property
     def positions(self) -> np.ndarray:
-        """The ``m**generation`` atoms, enumerated on first read (up to
-        :data:`ENUMERATION_CAP`)."""
+        """The ``m**generation`` atoms, enumerated on first read; past
+        :data:`ENUMERATION_CAP` atoms that raises :class:`EnumerationCapError`."""
         positions = _generation(self.centers, self.ratio, self.generation)
         positions.flags.writeable = False
         return positions

@@ -47,6 +47,12 @@ def _transform_at(measure, z):
     return complex(cauchy_transform_batch(measure, np.array([z]))[0][0])
 
 
+def _atoms(positions, resolution=1e-3):
+    """The measure of one weight on ``positions``: the generation-1 atoms of
+    an IFS with those centers, each of weight ``1/len(positions)``."""
+    return DiscreteMeasure(ImageIFS(np.array(positions, dtype=complex), resolution, 1), 1.0, 1.0)
+
+
 def _assert_tree_matches_direct(mu, zs, rows=50):
     """Tree descent against the direct sum, within 256u of sum |w/(z-p)|/pi
     (summed over ``rows`` points at a time)."""
@@ -138,19 +144,22 @@ class TestFrostmanMeasure:
             with pytest.raises(ParameterError):
                 frostman_measure(params7, 1, growth_delta=delta)
 
-    @pytest.mark.parametrize("centers", [
-        [math.nan + 0j, 0.5 + 0j],
-        [0.5 + 0j, complex(0.0, math.inf)],
-    ], ids=["nan-center", "infinite-center"])
-    def test_rejects_non_finite_center(self, centers):
-        # a NaN center would place NaN atoms and give the IFS a NaN radius
-        with pytest.raises(ParameterError, match="IFS centers must be finite"):
-            ImageIFS(np.array(centers), 0.5, 1)
+    @pytest.mark.parametrize("positions, resolution, match", [
+        ([math.nan + 0j, 0.5 + 0j], 1e-3, "IFS centers must be finite"),
+        ([0.5 + 0j, complex(0.0, math.inf)], 1e-3, "IFS centers must be finite"),
+        ([0j, 0.5 + 0j], math.nan, r"IFS ratio must lie in \(0, 1\)"),
+        ([0j, 0.5 + 0j], math.inf, r"IFS ratio must lie in \(0, 1\)"),
+        ([0j, 0.5 + 0j], 0.0, r"IFS ratio must lie in \(0, 1\)"),
+    ], ids=["nan-atom", "infinite-atom", "nan-resolution", "infinite-resolution", "zero-resolution"])
+    def test_rejects_non_finite_atom_or_resolution(self, positions, resolution, match):
+        # at generation 1 the atoms are the IFS centers and the resolution is
+        # its ratio; a NaN center would also give the IFS a NaN radius
+        with pytest.raises(ParameterError, match=match):
+            _atoms(positions, resolution)
 
     def test_rejects_empty_measure(self):
-        # no center places no atom
         with pytest.raises(ParameterError, match="an IFS needs at least one center"):
-            ImageIFS(np.zeros(0, complex), 0.5, 1)
+            _atoms(np.zeros(0, complex))
 
     def test_weight_and_resolution_follow_the_ifs(self, params7):
         # weight m**-N, resolution ratio**N, and the atoms cached on the IFS,
@@ -169,12 +178,6 @@ class TestFrostmanMeasure:
         mu = frostman_measure(params7, 2)
         with pytest.raises(ParameterError, match="growth radii must be positive and finite"):
             mu.growth_ratio(np.array([0.1 + 0j]), np.array([0.5, rho]))
-
-
-def _atoms(positions, resolution=1e-3):
-    """The measure of one weight on ``positions``: the generation-1 atoms of
-    an IFS with those centers, each of weight ``1/len(positions)``."""
-    return DiscreteMeasure(ImageIFS(np.array(positions, dtype=complex), resolution, 1), 1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
