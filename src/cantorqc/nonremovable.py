@@ -15,25 +15,26 @@ is the largest ``mass(B)/rho**s`` over 400 sampled ball centres and 12 radii
 down to the generation disk radius (the scale floor carried in every
 report): a sampled maximum, not a bound; denser searches beat it by up to 1.154x.
 
-The transform, the near-atom flags and the ball counts are three
-rules of one walk down the tree of the image IFS (Barnes & Hut 1986).  The
-walk opens a frontier of (point, cluster) pairs level by level; at each
-level a rule finishes the pairs it can, and it visits the atoms of the
-leaves left one by one.  For the transform (Greengard & Rokhlin 1987),
-generation-``N`` atoms obey ``G_k(u) = sum_j G_{k-1}((u - c_j)/s) / s`` with
-``G_0(u) = 1/u``, so a cluster of ``m**k`` atoms and radius ``R_k`` seen from
-``|u| >= R_k/THETA`` is summed by its Laurent series ``sum_{n<=P} mu_n u**-(n+1)``,
-whose moments follow from the centres alone by a binomial recursion
-(computed on first use and cached with the measure), to an order ``n`` whose
-truncation bound ``ratio**(n+1)/(1 - ratio)``, ``ratio = R_k/|u|``, is at most
-``2**-53`` relative to the cluster's mass over ``|u|``: below the rounding of
-the direct sum itself.  The ball counts take a cluster wholly inside a ball
-at once and drop one wholly outside; the nearest-atom search drops a
-cluster beyond the distance of a first, greedy atom.  Both widen cluster
-disks far beyond rounding and compare atoms as a KD-tree would, by
-``dx*dx + dy*dy``.  Leaves hold at most :data:`LEAF` atoms; a measure of at
-most :data:`LEAF` atoms is one leaf.  The IFS and the generation define the
-measure; its atoms are enumerated on first read and cached with the IFS.
+The near-atom flags and the ball counts are two rules of one walk down the
+tree of the image IFS (Barnes & Hut 1986) to the atoms' parents.  The walk
+opens a frontier of (point, cluster) pairs level by level; at each level a
+rule finishes the pairs it can, and it visits the atoms of the parents left
+one by one.  The ball counts take a cluster wholly inside a ball at once and
+drop one wholly outside; the nearest-atom search drops a cluster beyond the
+distance of a first, greedy atom.  Both widen cluster disks far beyond
+rounding and compare atoms as a KD-tree would, by ``dx*dx + dy*dy``.  The
+IFS and the generation define the measure; its atoms are enumerated on
+first read and cached with the IFS.
+
+The transform of at most :data:`LEAF` atoms is their direct sum.  Above
+that (Greengard & Rokhlin 1987), generation-``N`` atoms obey ``G_k(u) =
+sum_j G_{k-1}((u - c_j)/s) / s`` with ``G_0(u) = 1/u``, so a cluster of
+``m**k`` atoms and radius ``R_k`` seen from ``|u| >= R_k/THETA`` is summed
+by its Laurent series ``sum_{n<=P} mu_n u**-(n+1)``, whose moments follow
+from the centres alone by a binomial recursion (cached with the IFS), to
+an order ``n`` whose truncation bound ``ratio**(n+1)/(1 - ratio)``,
+``ratio = R_k/|u|``, is at most ``2**-53`` relative to the cluster's mass
+over ``|u|``: below the rounding of the direct sum itself.
 
 The transform's far field is a dual tree (Dehnen 2002), in :mod:`_farfield`,
 which is imported on the first transform over a tree.  A quadtree of
@@ -45,7 +46,8 @@ local Taylor series at the cell's centre (M2L: the moments scaled by
 opens the others, and shifts each cell's series to its four children
 (L2L).  A point evaluates its leaf cell's polynomial (L2P), then walks
 only the leaf clusters near that cell: a Laurent series for each one far
-from the point, the atoms of the others.  The translations obey the same
+from the point, the atoms of the others.  Leaf clusters span the most
+levels whose clusters hold at most :data:`LEAF` atoms, and at least one.  The translations obey the same
 ``2**-53`` bound, with ``ratio`` the cluster's radius plus the cell's
 half-diagonal over their distance.  The cells and their series depend on
 the IFS alone, and they are built for the whole box on the first call on a
@@ -93,7 +95,8 @@ THETA = 0.5
 #: Highest Laurent order; ``THETA**(P+1)/(1-THETA) <= 2**-53`` keeps the
 #: truncation of the series below the rounding of the direct sum.
 P = 53
-#: Clusters, and whole measures, of at most this many atoms are summed directly.
+#: Transforms of at most this many atoms are one direct sum; larger ones sum
+#: leaf clusters of at most this many atoms (or of ``m`` above it) directly.
 LEAF = 512
 #: Point-cluster pairs held at once by the tree descent: a few MB of temporaries.
 _PAIRS = 1 << 16
@@ -133,8 +136,9 @@ def _frame_cells(grid: _CellGrid, u: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _leaf_levels(m: int) -> int:
-    """Levels of the largest cluster of at most :data:`LEAF` atoms."""
-    levels = 0
+    """Levels of the transform's leaf clusters: the most levels whose
+    clusters hold at most :data:`LEAF` atoms, and at least one."""
+    levels = 1
     while m ** (levels + 1) <= LEAF:
         levels += 1
     return levels
@@ -277,28 +281,24 @@ class DiscreteMeasure:
     def resolution(self) -> float:
         return self.ifs.ratio**self.ifs.generation
 
-    def _walk(self, zs: np.ndarray, finish, leaf, tag: int = 1, levels: int | None = None,
-              grid: _CellGrid | None = None) -> None:
-        """Walk the IFS tree for the points of the flat ``zs``, in chunks whose
-        first opening holds at most :data:`_PAIRS` pairs.
+    def _walk(self, zs: np.ndarray, finish, leaf, tag: int = 1, grid: _CellGrid | None = None) -> None:
+        """Walk the IFS tree for the points of the flat ``zs`` down to the
+        atoms' parents, in chunks whose first opening holds at most
+        :data:`_PAIRS` pairs.
 
         Each (point, cluster) pair carries an integer tag, ``tag`` at the
-        root.  At each depth down to the leaves, clusters of ``m**levels``
-        atoms (by default the largest of at most :data:`LEAF`),
-        ``finish(d, pt, node, centre, tags)`` settles the pairs it can and
-        returns their new tags, 0 (or False) for those settled.  :func:`_open`
-        opens the others, through ``grid`` if given, and their children carry
-        their tag.  ``leaf(pt, atoms, tags)`` takes the pairs left at the
-        leaves in blocks of at most :data:`_PAIRS` atoms, ``atoms[i]`` a copy
-        of the leaf of ``pt[i]``.  A measure of one leaf has no levels.
+        root.  At each depth down to the atoms' parents (the root at
+        generation 0), ``finish(d, pt, node, centre, tags)`` settles the
+        pairs it can and returns their new tags, 0 (or False) for those
+        settled.  :func:`_open` opens the others, through ``grid`` if given,
+        and their children carry their tag.  ``leaf(pt, atoms, tags)`` takes
+        the pairs left in blocks of at most :data:`_PAIRS` atoms, ``atoms[i]``
+        a copy of the ``m`` atoms of the parent of ``pt[i]``, or of the one
+        atom of a generation-0 measure.
         """
-        ifs = self._tree
-        if ifs is None:
-            depth, leaves, width = -1, self.positions[None, :], self.count
-        else:
-            levels = _leaf_levels(ifs.m) if levels is None else levels
-            depth, leaves = ifs.generation - levels, self.positions.reshape(-1, ifs.m**levels)
-            width = ifs.m if grid is None else grid.table.shape[1]
+        ifs = self.ifs
+        depth, leaves = max(ifs.generation - 1, 0), self.positions.reshape(-1, min(ifs.m, self.count))
+        width = ifs.m if grid is None else grid.table.shape[1]
         step, rows = max(1, _PAIRS // width), max(1, _PAIRS // leaves.shape[1])
         for start in range(0, zs.size, step):
             pt = np.arange(start, min(start + step, zs.size))
@@ -313,11 +313,6 @@ class DiscreteMeasure:
                     pt, node, centre, tags = _open(ifs, d, zs, pt, node, centre, tags, grid)
             for i in range(0, pt.size, rows):
                 leaf(pt[i : i + rows], leaves[node[i : i + rows]], tags[i : i + rows])
-
-    @property
-    def _tree(self) -> ImageIFS | None:
-        """The IFS that :meth:`_walk` descends; ``None`` for one leaf."""
-        return self.ifs if self.count > LEAF else None
 
     def _ball_counts(self, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
         """Atoms in each closed ball ``B(center, radius)``, by the KD-tree test
@@ -336,7 +331,7 @@ class DiscreteMeasure:
         r = radii[order]
         R = r.size
         changes = np.zeros(centers.size * (R + 1), dtype=np.int64)
-        ifs = self._tree
+        ifs = self.ifs
 
         def add(pt, lo, hi, n):
             # n atoms more in the balls of radii [lo, hi) about the centers pt
@@ -387,7 +382,7 @@ class DiscreteMeasure:
         flat = _finite_points(zs, "atom query points")
         best = np.full(flat.size, math.inf)
         bound = np.empty(flat.size)
-        ifs = self._tree
+        ifs = self.ifs
 
         def finish(d, pt, node, centre, _tags):
             m, s, N = ifs.m, ifs.ratio, ifs.generation
@@ -402,7 +397,7 @@ class DiscreteMeasure:
                 bound[pt] = b + _SLACK * (1.0 + b)
             reach = bound[pt] + s**d * ifs.radius(N - d) * (1.0 + _SLACK)
             keep = _sq_dist(z, centre) <= reach * reach
-            if d < N - 1:
+            if d != N - 1:
                 return keep
             # a cell's row of atoms that can be nearest, the padding index m
             # standing for atom m-1 of the same parent; the rest scan every atom
@@ -417,7 +412,7 @@ class DiscreteMeasure:
         def leaf(pt, atoms, _tags):
             np.minimum.at(best, pt, _sq_dist(flat[pt, None], atoms).min(axis=1))
 
-        self._walk(flat, finish, leaf, levels=1, grid=None if ifs is None else ifs._reach_grid)
+        self._walk(flat, finish, leaf, grid=ifs._reach_grid)
         return np.sqrt(best).reshape(zs.shape)
 
     def growth_ratio(self, centers: np.ndarray, radii: np.ndarray) -> float:
@@ -499,49 +494,51 @@ def _laurent(u: np.ndarray, u2: np.ndarray, mu: np.ndarray, radius: float) -> np
 
 
 def _cauchy_values(measure: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
-    """``(1/pi) * sum_k weight / (z - p_k)`` at each point of ``zs``, by the walk
-    of the module docstring; a non-finite point raises :class:`ParameterError`."""
+    """``(1/pi) * sum_k weight / (z - p_k)`` at each point of ``zs``, summed as
+    the module docstring says; a non-finite point raises :class:`ParameterError`."""
     zs = np.asarray(zs, dtype=np.complex128)
     flat = _finite_points(zs, "Cauchy transform points")
     acc = np.zeros(flat.size, dtype=np.complex128)
-    ifs, weight = measure._tree, measure.weight
+    ifs, weight = measure.ifs, measure.weight
 
-    def finish(d, pt, node, centre, _tags):
-        # a cluster seen from beyond radius/THETA is summed by its Laurent series
+    def series(d, pt, centre):
+        # a depth-d cluster seen from beyond radius/THETA is summed by its
+        # Laurent series; returns the mask of the other pairs
         k, scale = ifs.generation - d, ifs.ratio**d
         u = flat[pt] - centre
         u /= scale
         u2 = u.real**2 + u.imag**2
         radius = ifs.radius(k)
         far = u2 >= (radius / THETA) ** 2
-        series = _laurent(u[far], u2[far], ifs.moments[k], radius)
-        np.add.at(acc, pt[far], series * (weight / scale))
+        terms = _laurent(u[far], u2[far], ifs.moments[k], radius)
+        np.add.at(acc, pt[far], terms * (weight / scale))
         return ~far
 
-    def leaf(pt, atoms, _tags):
-        terms = flat[pt][:, None] - atoms
-        np.divide(weight, terms, out=terms)
-        np.add.at(acc, pt, terms.sum(axis=1))
+    def direct(pt, node, leaves):
+        # the atoms of leaf node[i] at point pt[i], in blocks of at most _PAIRS pairs
+        rows = max(1, _PAIRS // leaves.shape[1])
+        for i in range(0, pt.size, rows):
+            block = pt[i : i + rows]
+            # one expression, so that no block's terms outlive it
+            sums = (weight / (flat[block][:, None] - leaves[node[i : i + rows]])).sum(axis=1)
+            np.add.at(acc, block, sums)
 
-    if ifs is None:
-        measure._walk(flat, finish, leaf)
+    if measure.count <= LEAF:
+        direct(np.arange(flat.size), np.zeros(flat.size, dtype=np.intp), measure.positions[None, :])
     else:
         # beyond radius/THETA the root's own series; nearer, in the target
         # box, the local series of the point's cell, then the leaf clusters
         # near that cell, in chunks of at most _PAIRS pairs
-        inner = np.flatnonzero(finish(0, np.arange(flat.size), np.zeros(flat.size, dtype=np.intp),
-                                      np.zeros(flat.size, dtype=np.complex128), None))
+        inner = np.flatnonzero(series(0, np.arange(flat.size), np.zeros(flat.size, dtype=np.complex128)))
         targets, levels = ifs._targets, _leaf_levels(ifs.m)
         cells = targets.locate(flat[inner])
         acc[inner] = targets.evaluate(flat[inner], cells) * weight
         leaves = measure.positions.reshape(-1, ifs.m**levels)
-        step, rows = max(1, _PAIRS // targets.width), max(1, _PAIRS // leaves.shape[1])
+        step = max(1, _PAIRS // targets.width)
         for start in range(0, inner.size, step):
             pt, node, centre = targets.pairs(inner[start : start + step], cells[start : start + step])
-            near = finish(ifs.generation - levels, pt, node, centre, None)
-            pt, node = pt[near], node[near]
-            for i in range(0, pt.size, rows):
-                leaf(pt[i : i + rows], leaves[node[i : i + rows]], None)
+            near = series(ifs.generation - levels, pt, centre)
+            direct(pt[near], node[near], leaves)
     acc /= math.pi
     return acc.reshape(zs.shape)
 

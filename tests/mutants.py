@@ -61,6 +61,9 @@ MUTANTS = [
     ("stratified stderr x 10", "qcmap.py",
      "stderr = math.sqrt(variance)",
      "stderr = 10.0 * math.sqrt(variance)"),
+    ("packing count of the centres inside the trial disk only", "verify.py",
+     "< diam / 2.0 + g_diam / 2.0)",
+     "< diam / 2.0)"),
     ("Hölder exclusion at bound <= 10*diff", "verify.py",
      "(bound <= 0.1 * diff)",
      "(bound <= 10.0 * diff)"),
@@ -70,13 +73,16 @@ MUTANTS = [
     ("box ladder floor off", "verify.py",
      "floor = 4096 * np.spacing(",
      "floor = 0 * np.spacing("),
+    ("nearest-atom grid rows at generation 0", "nonremovable.py",
+     "if d != N - 1:",
+     "if d < N - 1:"),
     ("growth radii from 4x the resolution", "nonremovable.py",
      "radii = np.geomspace(resolution, 2.0, 12)",
      "radii = np.geomspace(4.0 * resolution, 2.0, 12)"),
     ("transform leaf sums added per leaf block", "nonremovable.py",
-     "np.add.at(acc, pt, terms.sum(axis=1))",
-     "acc[pt[0] : pt[-1] + 1] += np.bincount(pt - pt[0], terms.sum(axis=1).real)"
-     " + 1j * np.bincount(pt - pt[0], terms.sum(axis=1).imag)"),
+     "np.add.at(acc, block, sums)",
+     "acc[block[0] : block[-1] + 1] += np.bincount(block - block[0], sums.real)"
+     " + 1j * np.bincount(block - block[0], sums.imag)"),
     ("M2L translation without the (-1)**l sign", "_farfield.py",
      "y *= _powers(-tau[j] * v, order)",
      "y *= _powers(tau[j] * v, order)"),

@@ -182,8 +182,8 @@ class TestFrostmanMeasure:
 
 @pytest.fixture(scope="module")
 def tree_measures(params7):
-    """The criterion-11 measure (217**2 atoms, one level above its leaves),
-    7**5 atoms (two levels), and 7**2 atoms, at most LEAF, searched as one leaf."""
+    """The criterion-11 measure (217**2 atoms), 7**5 atoms, and 7**2 atoms, at
+    most LEAF, whose transform is one direct sum."""
     crit11 = build_counterexample(0.5, 2.0, 1.9, N=2, depth_max=40, seed=0).measure
     return {
         "criterion-11": crit11,
@@ -213,6 +213,31 @@ class TestAtomQueries:
             zs = _seeded_points(mu, 32, 500, 200, 20)
             ref, _ = _kd_tree(mu).query(np.column_stack([zs.real, zs.imag]))
             assert np.array_equal(mu.nearest_atom_distance(zs), ref)
+
+    @pytest.mark.parametrize("centers, ratio, N", [
+        ([0.3 + 0.1j], 0.5, 40),
+        ([0.4 - 0.2j, 0.4 - 0.2j], 0.45, 1),
+        ([0.4 - 0.2j, 0.4 - 0.2j, -0.5 + 0.3j], 0.45, 4),
+        ([-0.5 + 0.1j, 0.5 - 0.1j], 0.4, 10),
+        ([-0.5 + 0.1j, 0.5 - 0.1j], 0.4, 0),
+    ], ids=["one-center-N40", "coincident-N1", "coincident-N4", "two-centers-N10", "generation-0"])
+    def test_atom_queries_on_degenerate_layouts(self, centers, ratio, N):
+        # one center, whose 40 levels hold one atom; two coincident centers,
+        # whose atoms coincide in pairs at N = 1 and in larger groups below;
+        # two centers at N = 10 (1,024 atoms) and at N = 0 (one atom, its own
+        # leaf): every measure walks the tree
+        mu = DiscreteMeasure(ImageIFS(np.array(centers), ratio, N), 1.0, 1.0)
+        tree = _kd_tree(mu)
+        zs = _seeded_points(mu, 35, 300, 100, 10)
+        pts = np.column_stack([zs.real, zs.imag])
+        assert np.array_equal(mu.nearest_atom_distance(zs), tree.query(pts)[0])
+        # radii at an atom's distance from a point and one ulp either side
+        dx, dy = zs[:50].real - mu.positions[-1].real, zs[:50].imag - mu.positions[-1].imag
+        rho = np.sqrt(dx * dx + dy * dy)
+        radii = np.concatenate([np.nextafter(rho, 0.0), rho, np.nextafter(rho, 9.0),
+                                np.geomspace(mu.resolution, 2.0, 12)])
+        expected = np.column_stack([tree.query_ball_point(pts, r, return_length=True) for r in radii])
+        assert np.array_equal(mu._ball_counts(zs, radii), expected)
 
     @pytest.mark.parametrize("corner", [0j, 1.0, 1j, 1.0 + 1j])
     def test_near_grid_rows_reach_past_the_cell_edges(self, corner):
@@ -406,6 +431,18 @@ class TestCauchyTransform:
         mu = build_counterexample(0.5, 2.0, 1.9, N=2, depth_max=40, seed=0).measure
         assert mu.ifs.m == 217
         _assert_tree_matches_direct(mu, _seeded_points(mu, 11, 1500, 400, 100))
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_tree_matches_direct_sum_past_leaf_sized_layouts(self, N):
+        # m = 547 > LEAF: the transform's leaf clusters are still one level
+        # above the atoms, the root at N = 1 and the m generation-1 clusters
+        # at N = 2, never single atoms
+        spec = build_counterexample(0.5, 2.0, 1.9, N=N, depth_max=40, m=547)
+        mu, cells = spec.measure, spec.measure.ifs._targets
+        assert mu.ifs.m == 547 > LEAF and _leaf_levels(547) == 1
+        assert np.allclose(cells.at, generation_centers(N - 1, "image", spec.params)[cells.node],
+                           rtol=0.0, atol=1e-12)
+        _assert_tree_matches_direct(mu, _seeded_points(mu, 52, 150, 60, 10), rows=5)
 
     def test_tree_matches_direct_sum_three_levels(self, params7):
         # 7**5 atoms in leaves of 7**3: the descent expands two levels

@@ -213,6 +213,17 @@ class TestPackingCondition:
         rep = packing_condition_check(3, params7.t, 100, seed=5, params=params7)
         assert rep.max_ratio == pytest.approx(2.0**params7.t, rel=1e-9)
 
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dense_layout_beats_the_floor_probe(self, N, seed):
+        # at m = 217 some trial disk meets many generation disks whose
+        # centres lie outside it, and its ratio exceeds the floor probe's
+        # 2**t; counting only the centres inside each disk leaves the floor
+        # probe the maximum
+        params = derive_params(1.9, 2.0, build_packing(217))
+        rep = packing_condition_check(N, params.t, 300, seed=seed, params=params)
+        assert rep.max_ratio > 2.0**params.t * (1.0 + 1e-9)
+
     def test_stable_across_generations(self, params7):
         vals = [
             packing_condition_check(N, params7.t, 300, seed=5, params=params7).max_ratio
